@@ -1,9 +1,9 @@
-"""Parallel-runner bench: serial vs fanned-out cell execution.
+"""Parallel-runner bench: ``LocalService(jobs=1)`` vs ``LocalService(jobs=N)``.
 
-Runs the same figure cell set twice from cold caches — once with
-``jobs=1`` (the serial baseline) and once fanned out over worker
-processes — then assembles each figure from both caches and compares the
-results byte for byte.  Identity must hold on any machine; the >= 2x
+Runs the same figure cell set twice from cold caches — once with one
+in-process worker (the serial baseline) and once with N worker
+processes draining the service's private queue — then assembles each
+figure from both caches and compares the results byte for byte.  Identity must hold on any machine; the >= 2x
 speedup bar only applies where there are enough cores to pay for the
 process fan-out (>= 4), though cpu count, wall times, and the measured
 speedup are always recorded in ``results/BENCH_parallel_runner.json``.
@@ -15,8 +15,9 @@ import os
 import platform
 import time
 
-from repro.experiments import ExperimentContext, enumerate_cells, run_cells
+from repro.experiments import ExperimentContext, enumerate_cells
 from repro.experiments.formatting import table
+from repro.fleet import LocalService
 
 from conftest import record
 
@@ -40,10 +41,11 @@ def _fresh_ctx(base_ctx, cache_dir):
 
 def _timed_run(ctx, jobs):
     cells = enumerate_cells(ctx, figures=list(BENCH_FIGURES))
+    service = LocalService(ctx, jobs=jobs)
     start = time.perf_counter()  # simlint: disable=DET005
-    outcomes = run_cells(ctx, cells, jobs=jobs)
+    state = service.wait(service.submit(cells=cells))
     elapsed = time.perf_counter() - start  # simlint: disable=DET005
-    assert all(o.status == "ok" for o in outcomes)
+    assert state.state == "done", state.failures
     return elapsed, len(cells)
 
 

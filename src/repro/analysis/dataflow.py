@@ -25,8 +25,7 @@ subscribers, and results must flow through the concurrency-safe
   closure-scoped findings are reused when nothing in its transitive
   import closure changed — the dependency-graph invalidation that makes
   a one-file edit re-analyze a handful of modules instead of the tree;
-* a **multiprocess fan-out** over files (mirroring the
-  ``repro.experiments.parallel`` worker patterns) for cold runs.
+* a **multiprocess fan-out** over files for cold runs.
 """
 
 from __future__ import annotations
@@ -889,8 +888,8 @@ def _load_modules(
         todo.append(path)
     stats.modules_extracted = len(todo)
     if jobs > 1 and len(todo) > 1:
-        # Mirrors the ParallelRunner fan-out: pure per-item workers, a
-        # bounded pool, results folded back on the driver side.
+        # Pure per-item workers, a bounded pool, results folded back on
+        # the driver side.
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(todo))
         ) as pool:

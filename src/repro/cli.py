@@ -14,10 +14,10 @@ Subcommands::
     pgss-sim clear-cache               # drop cached experiment results
 
 Every experiment-running command is a thin client of
-:class:`repro.fleet.ExperimentService`; ``run-all`` is the compat alias
-for ``jobs submit`` + wait + ``jobs fetch`` on the in-process backend
-(or on a shared queue with ``--queue``).  All subcommands accept
-``--scale {quick,scaled,paper}``.
+:class:`repro.fleet.ExperimentService`; ``run-all`` is submit + wait +
+fetch on :class:`repro.fleet.LocalService`, whose private queue is
+drained by the same worker loop as ``pgss-sim worker``.  All
+subcommands accept ``--scale {quick,scaled,paper}``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .program import WORKLOAD_NAMES, get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import EventBus
-    from .fleet import ExperimentService, JobState
+    from .fleet import JobState
 
 __all__ = ["main", "build_parser"]
 
@@ -120,11 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run-all",
         help="run every figure's experiment cells (optionally in "
         "parallel), then assemble the full report",
-        description="Compatibility alias for the job-service API: "
-        "equivalent to `jobs submit` + wait + `jobs fetch` on the "
-        "in-process backend, or — with --queue — on a shared queue "
-        "directory that `pgss-sim worker` processes execute. Results "
-        "are byte-identical either way.",
+        description="Submit + wait + fetch on the single-host job "
+        "service: the cells run on local workers over a private queue "
+        "(for a shared queue use `jobs submit`, `worker` and `jobs "
+        "fetch`). Results are byte-identical for any job count.",
     )
     p_runall.add_argument(
         "-j",
@@ -145,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_runall.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"
-    )
-    p_runall.add_argument(
-        "--queue",
-        default=None,
-        metavar="DIR",
-        help="submit to this shared queue directory and wait for fleet "
-        "workers to execute the cells (instead of running in-process)",
     )
 
     p_jobs = sub.add_parser(
@@ -439,6 +431,11 @@ def _cmd_sample(
     return 0
 
 
+def _progress_line(line: str) -> None:
+    """Progress sink of local and fleet workers: one line to stderr."""
+    print(line, file=sys.stderr, flush=True)
+
+
 def _print_failures(state: "JobState") -> None:
     for cell_id, error in sorted(state.failures.items()):
         print(f"cell {cell_id} failed: {error}", file=sys.stderr)
@@ -457,13 +454,10 @@ def _run_local_job(
     from .experiments import ExperimentContext
     from .fleet import LocalService
 
-    progress = (
-        None
-        if quiet
-        else lambda line: print(line, file=sys.stderr, flush=True)
-    )
     service = LocalService(
-        ExperimentContext(scale), jobs=jobs, progress=progress
+        ExperimentContext(scale),
+        jobs=jobs,
+        progress=None if quiet else _progress_line,
     )
     handle = service.submit(figures=figures)
     state = service.wait(handle)
@@ -528,36 +522,17 @@ def _cmd_run_all(
     figures: Optional[str],
     output: Optional[str],
     quiet: bool,
-    queue: Optional[str],
 ) -> int:
     from .errors import OrchestrationError
     from .experiments import ExperimentContext
+    from .fleet import LocalService
 
     ctx = ExperimentContext(scale)
     try:
-        if queue:
-            from .fleet import QueueService
-
-            service: "ExperimentService" = QueueService(
-                ctx, Path(queue)
-            )
-        else:
-            from .fleet import LocalService
-
-            progress = (
-                None
-                if quiet
-                else lambda line: print(line, file=sys.stderr, flush=True)
-            )
-            service = LocalService(ctx, jobs=jobs, progress=progress)
+        service = LocalService(
+            ctx, jobs=jobs, progress=None if quiet else _progress_line
+        )
         handle = service.submit(figures=figures)
-        if queue:
-            print(
-                f"job {handle.job_id} submitted to {queue}; waiting for "
-                "fleet workers (start them with: pgss-sim worker "
-                f"--queue {queue})",
-                file=sys.stderr,
-            )
         state = service.wait(handle)
         if state.state != "done":
             _print_failures(state)
@@ -699,15 +674,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         DEFAULT_CHECKPOINT_WINDOWS,
         DEFAULT_LEASE_S,
         DEFAULT_POLL_S,
+        DEFAULT_TIMEOUT_S,
         run_worker,
     )
-    from .experiments.parallel import DEFAULT_TIMEOUT_S
 
-    progress = (
-        None
-        if args.quiet
-        else lambda line: print(line, file=sys.stderr, flush=True)
-    )
     try:
         executed = run_worker(
             Path(args.queue),
@@ -723,7 +693,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                 if args.checkpoint_windows is not None
                 else DEFAULT_CHECKPOINT_WINDOWS
             ),
-            progress=progress,
+            progress=None if args.quiet else _progress_line,
         )
     except OrchestrationError as exc:
         print(str(exc), file=sys.stderr)
@@ -760,7 +730,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_report(scale, args.output)
     if args.command == "run-all":
         return _cmd_run_all(
-            scale, args.jobs, args.figures, args.output, args.quiet, args.queue
+            scale, args.jobs, args.figures, args.output, args.quiet
         )
     if args.command == "jobs":
         return _cmd_jobs(args, scale)

@@ -90,14 +90,17 @@ class CacheError(ReproError):
 
 
 class OrchestrationError(ReproError):
-    """The parallel experiment driver was configured or driven incorrectly."""
+    """Experiment orchestration was configured or driven incorrectly.
+
+    Raised for bad figure ids, cell parameters or job counts, and for
+    cells that exceed their time budget inside a worker.
+    """
 
 
 class FleetError(OrchestrationError):
     """The distributed job queue or a fleet worker was misused.
 
-    Subclasses :class:`OrchestrationError` because the fleet is the
-    multi-host generalisation of the in-process parallel driver; callers
-    that already handle orchestration failures handle fleet failures
-    for free.
+    Subclasses :class:`OrchestrationError` because the fleet is how
+    experiments are orchestrated; callers that already handle
+    orchestration failures handle fleet failures for free.
     """

@@ -36,7 +36,7 @@ from ..sampling.session import (
 from ..signals import PHASE_SIGNALS, make_signal_tracker
 from .cells import ExperimentCell, trace_cell
 from .formatting import fmt_ops, table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "run_cell", "THRESHOLD_PI"]
 
@@ -143,7 +143,6 @@ def run_cell(
     return _pgss_run(ctx, benchmark, params["signal"])
 
 
-@figure_entry
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """Detection rate and PGSS error per signal on adversarial subjects."""
     detection: Dict[str, Dict[str, Any]] = {}

@@ -5,12 +5,14 @@ The package behind ``pgss-sim jobs`` and ``pgss-sim worker``:
 * :mod:`repro.fleet.queue` — the shared-directory :class:`JobQueue`
   (O_EXCL claims, leases with heartbeats, priorities, retry budgets).
 * :mod:`repro.fleet.worker` — the :class:`Worker` loop that claims
-  cells, executes them with mid-cell checkpointing, and publishes
-  through the result cache.
+  cells, executes them (:meth:`Worker.run_one` is the only place a cell
+  runs) with mid-cell checkpointing, and publishes through the result
+  cache.
 * :mod:`repro.fleet.service` — the :class:`ExperimentService` facade
   (``submit`` / ``status`` / ``fetch`` / ``cancel``), the one supported
-  way to run experiments, with :class:`LocalService` (in-process) and
-  :class:`QueueService` (fleet) backends.
+  way to run experiments, with :class:`QueueService` (shared queue) and
+  :class:`LocalService` (private queue drained by local workers)
+  backends.
 """
 
 from .queue import (
@@ -19,16 +21,23 @@ from .queue import (
     JobQueue,
     JobState,
     QueueSweep,
-    spec_from_doc,
-    spec_to_doc,
+    context_from_doc,
+    context_to_doc,
 )
 from .service import ExperimentService, JobHandle, LocalService, QueueService
-from .worker import DEFAULT_CHECKPOINT_WINDOWS, DEFAULT_POLL_S, Worker, run_worker
+from .worker import (
+    DEFAULT_CHECKPOINT_WINDOWS,
+    DEFAULT_POLL_S,
+    DEFAULT_TIMEOUT_S,
+    Worker,
+    run_worker,
+)
 
 __all__ = [
     "DEFAULT_CHECKPOINT_WINDOWS",
     "DEFAULT_LEASE_S",
     "DEFAULT_POLL_S",
+    "DEFAULT_TIMEOUT_S",
     "ClaimedTask",
     "ExperimentService",
     "JobHandle",
@@ -38,7 +47,7 @@ __all__ = [
     "QueueService",
     "QueueSweep",
     "Worker",
+    "context_from_doc",
+    "context_to_doc",
     "run_worker",
-    "spec_from_doc",
-    "spec_to_doc",
 ]

@@ -5,7 +5,7 @@ job per submitted experiment and one task per
 :class:`~repro.experiments.cells.ExperimentCell`.  Layout::
 
     queue/
-      jobs/<job>.json       manifest: task list, figure ids, context spec
+      jobs/<job>.json       manifest: task list, figure ids, context document
       tasks/<task>.json     a pending cell (priority encoded in the name)
       claims/<task>.json    lease held by a worker (created with O_EXCL)
       done/<task>.json      terminal outcome record
@@ -24,9 +24,10 @@ cell is retried (resuming from its latest checkpoint) or, with the retry
 budget exhausted, failed.
 
 Everything a worker needs to execute a cell travels in the task file:
-the serialized cell plus a JSON rendering of the experiment-context spec
-(scale, machine, cache directory, benchmark list), so submitters and
-workers only have to agree on the queue directory.
+the serialized cell plus a JSON rendering of the experiment context
+(:func:`context_to_doc`: scale, machine, cache directory, benchmark
+list), so submitters and workers only have to agree on the queue
+directory.
 
 All timestamps in this module are orchestration wall clock — they gate
 lease expiry and never influence simulated state, which stays a pure
@@ -47,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..config import CacheConfig, MachineConfig, ScaleConfig
 from ..errors import FleetError
 from ..experiments.cells import ExperimentCell
+from ..experiments.runner import ExperimentContext
 
 __all__ = [
     "DEFAULT_LEASE_S",
@@ -54,8 +56,8 @@ __all__ = [
     "JobQueue",
     "JobState",
     "QueueSweep",
-    "spec_from_doc",
-    "spec_to_doc",
+    "context_from_doc",
+    "context_to_doc",
 ]
 
 #: Default lease duration; a worker heartbeats at a third of this, so a
@@ -69,21 +71,20 @@ _PRIORITY_MIN, _PRIORITY_MAX, _PRIORITY_DEFAULT = 0, 99, 50
 _TERMINAL_STATUSES = ("ok", "error", "timeout", "failed", "cancelled")
 
 
-def spec_to_doc(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-able rendering of a picklable experiment-context spec.
+def context_to_doc(ctx: ExperimentContext) -> Dict[str, Any]:
+    """JSON-able rendering of an :class:`ExperimentContext`.
 
-    The spec is the same shape :func:`repro.experiments.parallel`
-    ships to pool workers (scale, machine, cache_dir, benchmarks, and
-    optionally checkpoint fields); this flattens the config dataclasses
-    so the document survives a JSON round trip.
+    Carries what a worker needs to rebuild an equivalent context: the
+    scale and machine (config dataclasses flattened to dicts), the
+    result-cache directory, and the benchmark list.  Checkpoint settings
+    are per-worker and deliberately not part of the document.
     """
-    doc: Dict[str, Any] = {
-        "scale": asdict(spec["scale"]),
-        "machine": asdict(spec["machine"]),
-        "cache_dir": str(spec["cache_dir"]),
-        "benchmarks": list(spec["benchmarks"]),
+    return {
+        "scale": asdict(ctx.scale),
+        "machine": asdict(ctx.machine),
+        "cache_dir": str(ctx.cache.directory),
+        "benchmarks": list(ctx.benchmarks),
     }
-    return doc
 
 
 def _scale_from_doc(doc: Dict[str, Any]) -> ScaleConfig:
@@ -108,14 +109,37 @@ def _machine_from_doc(doc: Dict[str, Any]) -> MachineConfig:
     return MachineConfig(**fields)
 
 
-def spec_from_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Rebuild the picklable context spec from its JSON document."""
-    return {
-        "scale": _scale_from_doc(doc["scale"]),
-        "machine": _machine_from_doc(doc["machine"]),
-        "cache_dir": doc["cache_dir"],
-        "benchmarks": list(doc["benchmarks"]),
-    }
+def context_from_doc(
+    doc: Dict[str, Any],
+    checkpoint_dir: Optional[Path] = None,
+    checkpoint_windows: int = 0,
+) -> ExperimentContext:
+    """Rebuild the context a :func:`context_to_doc` document describes.
+
+    Args:
+        doc: the JSON document.
+        checkpoint_dir, checkpoint_windows: the executing worker's
+            mid-cell checkpoint settings (see :class:`ExperimentContext`).
+    """
+    return ExperimentContext(
+        scale=_scale_from_doc(doc["scale"]),
+        machine=_machine_from_doc(doc["machine"]),
+        cache_dir=Path(doc["cache_dir"]),
+        benchmarks=list(doc["benchmarks"]),
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_windows=checkpoint_windows,
+    )
+
+
+def _task_name(priority: int, job: str, index: int) -> str:
+    # Lexicographic task-file order is claim order: inverted priority
+    # first, then job, then submission index.
+    return f"{_PRIORITY_MAX - priority:02d}.{job}.{index:05d}"
+
+
+def _job_of(task_name: str) -> str:
+    """The job id embedded in a task name (see :func:`_task_name`)."""
+    return task_name.split(".", 1)[1].rsplit(".", 1)[0]
 
 
 def _cell_to_doc(cell: ExperimentCell) -> Dict[str, Any]:
@@ -147,7 +171,9 @@ def _write_json_atomic(path: Path, doc: Dict[str, Any]) -> None:
     )
     try:
         with tmp.open("w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            # One-shot dumps runs the C encoder; dump() streams chunks
+            # through the pure-Python one.
+            fh.write(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -295,7 +321,7 @@ class JobQueue:
 
         Args:
             cells: the work units (already deduplicated by the caller).
-            spec_doc: JSON context-spec document (:func:`spec_to_doc`).
+            spec_doc: JSON context document (:func:`context_to_doc`).
             figures: figure ids the job was derived from (used by
                 ``fetch`` to assemble the report).
             priority: 0-99; higher-priority tasks are claimed first.
@@ -315,9 +341,7 @@ class JobQueue:
             raise FleetError(f"job {job!r} already exists in this queue")
         task_names: List[str] = []
         for index, cell in enumerate(cells):
-            # Lexicographic task-file order is claim order: inverted
-            # priority first, then job, then submission index.
-            name = f"{_PRIORITY_MAX - priority:02d}.{job}.{index:05d}"
+            name = _task_name(priority, job, index)
             task_names.append(name)
             _write_json_atomic(
                 self.root / "tasks" / f"{name}.json",
@@ -383,22 +407,27 @@ class JobQueue:
         (charging an attempt), retires tasks of cancelled jobs, and
         otherwise attempts the ``O_EXCL`` claim.
         """
-        for task_path in sorted((self.root / "tasks").glob("*.json")):
-            name = task_path.stem
+        tasks = self.root / "tasks"
+        for entry in sorted(os.listdir(tasks)):
+            if not entry.endswith(".json"):
+                continue
+            name = entry[: -len(".json")]
+            task_path = tasks / entry
+            if self.cancelled(_job_of(name)):
+                doc = _read_json(task_path)
+                if doc is not None:
+                    self._retire_cancelled(name, doc)
+                continue
+            if self._claim_path(name).exists() and not self._reap_if_stale(name):
+                continue
+            if not self._try_claim(name, worker):
+                continue
+            # Read the task only under the claim: an earlier read could
+            # predate a whole attempt by another worker, whose stamp (or
+            # finished task) it would otherwise overwrite.
             doc = _read_json(task_path)
             if doc is None:
-                continue  # torn write in progress; next scan sees it
-            if self.cancelled(doc["job"]):
-                self._retire_cancelled(name, doc)
-                continue
-            claim_path = self._claim_path(name)
-            if claim_path.exists():
-                if not self._reap_if_stale(name, doc):
-                    continue
-                doc = _read_json(task_path)
-                if doc is None:
-                    continue  # reap exhausted the retry budget
-            if not self._try_claim(name, worker):
+                self._release_claim(name)
                 continue
             # Stamp the attempt we are about to consume.
             doc["attempts"] = int(doc.get("attempts", 0)) + 1
@@ -551,7 +580,7 @@ class JobQueue:
                 self._release_claim(name)
                 report.orphan_files += 1
                 continue
-            if self._reap_if_stale(name, task_doc):
+            if self._reap_if_stale(name):
                 report.stale_leases += 1
                 if (self.root / "done" / f"{name}.json").exists():
                     report.failed += 1
@@ -599,7 +628,7 @@ class JobQueue:
             self._write_claim(name, worker)
             return True
         with os.fdopen(fd, "w") as fh:
-            json.dump(self._claim_doc(worker), fh)
+            fh.write(json.dumps(self._claim_doc(worker)))
         return True
 
     def _write_claim(self, name: str, worker: str) -> None:
@@ -634,19 +663,62 @@ class JobQueue:
                 return False  # e.g. EPERM: alive under another user
         return False
 
-    def _reap_if_stale(self, name: str, task_doc: Dict[str, Any]) -> bool:
-        """Reap an expired lease; True if the claim was released."""
-        claim_doc = _read_json(self._claim_path(name))
-        if claim_doc is None:
-            # Torn claim or already released; treat a persistent torn
-            # file as stale so the task is not stranded.
-            if not self._claim_path(name).exists():
-                return True
-            self._release_claim(name)
+    def _claim_stale(
+        self, name: str, claim_doc: Optional[Dict[str, Any]]
+    ) -> bool:
+        """Whether the task's claim, read as *claim_doc*, may be reaped."""
+        if claim_doc is not None:
+            return self._lease_stale(claim_doc)
+        # Unreadable: released, torn by a crash, or created by a claimant
+        # that has not written it yet (O_EXCL creation and the write are
+        # two steps).  Only a torn file that outlived a lease is stale;
+        # reaping a fresh one would run the cell twice.
+        try:
+            age = _now() - self._claim_path(name).stat().st_mtime
+        except OSError:
             return True
-        if not self._lease_stale(claim_doc):
+        return age >= self.lease_s
+
+    def _try_reap_lock(self, lock: Path) -> bool:
+        try:
+            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            # Held by another reaper, or left by one that died; break a
+            # lock older than a lease so the task is not stranded.
+            try:
+                if _now() - lock.stat().st_mtime >= self.lease_s:
+                    lock.unlink()
+            except OSError:
+                pass
             return False
-        self._release_claim(name)
+        except OSError:
+            pass  # no O_EXCL semantics: reap unserialised, as claims do
+        return True
+
+    def _reap_if_stale(self, name: str) -> bool:
+        """Reap an expired lease; True if the claim was released."""
+        claim_path = self._claim_path(name)
+        claim_doc = _read_json(claim_path)
+        if not self._claim_stale(name, claim_doc):
+            return False
+        # Between that read and the unlink another reaper may release
+        # the claim and a worker re-claim the task, so reapers serialise
+        # on a per-task lock and re-read both files under it.
+        lock = self.root / "claims" / f"{name}.reap"
+        if not self._try_reap_lock(lock):
+            return False
+        try:
+            if _read_json(claim_path) != claim_doc:
+                return not claim_path.exists()
+            task_doc = _read_json(self.root / "tasks" / f"{name}.json")
+            self._release_claim(name)
+        finally:
+            try:
+                lock.unlink()
+            except OSError:
+                pass
+        if claim_doc is None or task_doc is None:
+            return True
         # The dead holder consumed its attempt when it claimed; if the
         # budget is gone, finalise now so the job can reach a terminal
         # state without the cell ever succeeding.
@@ -681,10 +753,9 @@ class JobQueue:
         )
 
     def _finalize(self, task: ClaimedTask, record: Dict[str, Any]) -> None:
-        task_doc = _read_json(self.root / "tasks" / f"{task.name}.json")
         self._finalize_name(
             task.name,
-            task_doc or {"job": task.job_id, "cell": _cell_to_doc(task.cell)},
+            {"job": task.job_id, "cell": _cell_to_doc(task.cell)},
             dict(record, worker=task.worker, attempts=task.attempts),
         )
 

@@ -10,17 +10,17 @@ facade::
     text    = service.fetch(handle)              # assemble the report
     service.cancel(handle)                       # abandon pending work
 
-Two backends implement the interface:
+Two backends implement the interface, over one orchestration path:
 
-* :class:`LocalService` — the single-host backend.  ``wait()`` executes
-  the job's cells through :class:`~repro.experiments.parallel
-  .ParallelRunner` (``jobs=1`` is the exact serial path), so the old
-  ``run-all --jobs N`` behaviour is literally ``submit`` + ``wait`` +
-  ``fetch`` on this backend.
 * :class:`QueueService` — the fleet backend.  ``submit()`` writes tasks
   into a shared :class:`~repro.fleet.queue.JobQueue` directory and
   returns immediately; any number of ``pgss-sim worker`` processes on
   any number of hosts execute them, and ``wait()`` just polls the queue.
+* :class:`LocalService` — the single-host backend: a
+  :class:`QueueService` over a private temporary queue whose ``wait()``
+  drains it with the same :class:`~repro.fleet.worker.Worker` loop, in
+  the calling process (``jobs=1``) or in N worker processes.
+  ``run-all --jobs N`` is ``submit`` + ``wait`` + ``fetch`` on it.
 
 Both publish results exclusively through the content-addressed
 :class:`~repro.experiments.cache.ResultCache`, so a report fetched after
@@ -30,31 +30,28 @@ a fleet run is byte-identical to one fetched after a serial run.
 from __future__ import annotations
 
 import abc
+import multiprocessing
+import multiprocessing.connection
+import shutil
+import tempfile
 import time
-import uuid
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FleetError
 from ..experiments.cells import ExperimentCell, enumerate_cells
-from ..experiments.parallel import (
-    DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT_S,
-    CellOutcome,
-    ParallelRunner,
-    _context_from_spec,
-    _context_spec,
-)
 from ..experiments.report import generate_report, resolve_figure_ids
-from ..experiments.runner import ExperimentContext, service_scope
+from ..experiments.runner import ExperimentContext
 from .queue import (
     DEFAULT_LEASE_S,
     JobQueue,
     JobState,
-    spec_from_doc,
-    spec_to_doc,
+    context_from_doc,
+    context_to_doc,
 )
+from .worker import DEFAULT_TIMEOUT_S, Worker
 
 __all__ = [
     "ExperimentService",
@@ -64,6 +61,13 @@ __all__ = [
 ]
 
 FigureSpec = Union[str, Sequence[str], None]
+
+#: Default number of retries after a failed or lost attempt.
+DEFAULT_RETRIES = 1
+
+#: Queue poll interval of local workers.  Short, because a draining
+#: worker polls until its siblings release their last leases.
+_LOCAL_POLL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,7 @@ class ExperimentService(abc.ABC):
                 f"(counts: {state.counts}, failures: {state.failures})"
             )
         numbers = self._fetch_figures(handle, figures)
-        with service_scope():
-            return generate_report(self.ctx, figures=numbers)
+        return generate_report(self.ctx, figures=numbers)
 
     def _fetch_figures(
         self, handle: Union[JobHandle, str], figures: FigureSpec
@@ -152,117 +155,6 @@ class ExperimentService(abc.ABC):
         return handle.job_id if isinstance(handle, JobHandle) else str(handle)
 
 
-@dataclass
-class _LocalJob:
-    cells: List[ExperimentCell]
-    figures: Optional[Tuple[str, ...]]
-    state: str = "pending"
-    outcomes: List[CellOutcome] = field(default_factory=list)
-
-
-class LocalService(ExperimentService):
-    """In-process backend over :class:`ParallelRunner`.
-
-    ``submit`` only records the job; ``wait`` executes it (the runner
-    fans cells out over *jobs* worker processes and retries failures).
-    Handles live in this service instance — a local job cannot be
-    polled from another process, which is exactly what
-    :class:`QueueService` exists for.
-    """
-
-    def __init__(
-        self,
-        ctx: ExperimentContext,
-        jobs: int = 1,
-        timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
-        retries: int = DEFAULT_RETRIES,
-        progress: Optional[object] = None,
-    ) -> None:
-        super().__init__(ctx)
-        self.runner = ParallelRunner(
-            ctx,
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            progress=progress,  # type: ignore[arg-type]
-        )
-        self._jobs: Dict[str, _LocalJob] = {}
-
-    def submit(
-        self,
-        figures: FigureSpec = None,
-        cells: Optional[Sequence[ExperimentCell]] = None,
-    ) -> JobHandle:
-        numbers, modules = resolve_figure_ids(figures)
-        if cells is None:
-            cells = enumerate_cells(self.ctx, figures=modules)
-        if not cells:
-            raise FleetError("job has no cells to run")
-        job_id = uuid.uuid4().hex[:12]
-        handle = JobHandle(job_id, tuple(numbers) if numbers else None)
-        self._jobs[job_id] = _LocalJob(list(cells), handle.figures)
-        return handle
-
-    def _job(self, handle: Union[JobHandle, str]) -> _LocalJob:
-        job_id = self._job_id(handle)
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise FleetError(
-                f"unknown local job {job_id!r}; local handles only resolve "
-                "inside the submitting process (use a queue for detached jobs)"
-            ) from None
-
-    def status(self, handle: Union[JobHandle, str]) -> JobState:
-        job = self._job(handle)
-        counts = {k: 0 for k in ("pending", "running", "ok", "failed", "cancelled")}
-        failures: Dict[str, str] = {}
-        if job.state in ("pending", "running"):
-            counts[job.state if job.state == "pending" else "running"] = len(
-                job.cells
-            )
-        elif job.state == "cancelled":
-            counts["cancelled"] = len(job.cells)
-        else:
-            for outcome in job.outcomes:
-                if outcome.status == "ok":
-                    counts["ok"] += 1
-                else:
-                    counts["failed"] += 1
-                    failures[outcome.cell.cell_id] = (
-                        f"{outcome.status}: {outcome.error}"
-                    )
-        return JobState(
-            job_id=self._job_id(handle),
-            state=job.state,
-            counts=counts,
-            total=len(job.cells),
-            failures=failures,
-        )
-
-    def wait(
-        self,
-        handle: Union[JobHandle, str],
-        timeout_s: Optional[float] = None,
-    ) -> JobState:
-        """Execute the job in-process (the local backend's "wait")."""
-        job = self._job(handle)
-        if job.state == "pending":
-            job.state = "running"
-            with service_scope():
-                job.outcomes = self.runner.run(job.cells)
-            failed = [o for o in job.outcomes if o.status != "ok"]
-            job.state = "failed" if failed else "done"
-        return self.status(handle)
-
-    def cancel(self, handle: Union[JobHandle, str]) -> bool:
-        job = self._job(handle)
-        if job.state == "pending":
-            job.state = "cancelled"
-            return True
-        return False
-
-
 class QueueService(ExperimentService):
     """Fleet backend over a shared :class:`JobQueue` directory."""
 
@@ -272,7 +164,7 @@ class QueueService(ExperimentService):
         queue_dir: Path,
         lease_s: float = DEFAULT_LEASE_S,
         priority: int = 50,
-        retries: int = 1,
+        retries: int = DEFAULT_RETRIES,
         poll_s: float = 0.5,
     ) -> None:
         super().__init__(ctx)
@@ -286,14 +178,13 @@ class QueueService(ExperimentService):
         """Rebuild a service for an existing job from its manifest.
 
         Lets ``pgss-sim jobs status/fetch/cancel <id>`` run in a fresh
-        process: the manifest's context spec is authoritative, so the
+        process: the manifest's context document is authoritative, so the
         report is assembled against exactly the submitted scale,
         machine, cache directory, and benchmark list.
         """
         queue = JobQueue(Path(queue_dir))
         manifest = queue.manifest(job_id)
-        ctx = _context_from_spec(spec_from_doc(manifest["spec"]))
-        return cls(ctx, Path(queue_dir))
+        return QueueService(context_from_doc(manifest["spec"]), Path(queue_dir))
 
     def handle(self, job_id: str) -> JobHandle:
         """A full handle (with figure ids) for an existing job."""
@@ -311,7 +202,7 @@ class QueueService(ExperimentService):
             cells = enumerate_cells(self.ctx, figures=modules)
         job_id = self.queue.submit(
             cells,
-            spec_to_doc(_context_spec(self.ctx)),
+            context_to_doc(self.ctx),
             figures=numbers,
             priority=self.priority,
             retries=self.retries,
@@ -352,3 +243,102 @@ class QueueService(ExperimentService):
         if figures is None and not isinstance(handle, JobHandle):
             handle = self.handle(str(handle))
         return super().fetch(handle, figures=figures)
+
+
+def _drain_queue(
+    queue_dir: Path,
+    timeout_s: Optional[float],
+    progress: Optional[Callable[[str], None]],
+) -> int:
+    """Run one draining local worker over *queue_dir*; cells executed."""
+    worker = Worker(
+        queue_dir,
+        timeout_s=timeout_s,
+        poll_s=_LOCAL_POLL_S,
+        drain=True,
+        checkpoint_windows=0,
+        progress=progress,
+    )
+    return worker.run()
+
+
+class LocalService(QueueService):
+    """Single-host backend: a :class:`QueueService` over a private queue.
+
+    The queue lives in a temporary directory the service owns.
+    ``submit`` enqueues the job's cells there; ``wait`` drains the queue
+    with the fleet :class:`~repro.fleet.worker.Worker` loop — in the
+    calling process for ``jobs=1``, in *jobs* worker processes
+    otherwise — so claims, retries and time budgets are the fleet's
+    own.  Handles resolve only through this service instance.
+
+    Args:
+        ctx: experiment context the cells run against.
+        jobs: worker count; 1 runs the cells in the calling process.
+        timeout_s: per-cell wall-clock budget (None disables it).
+        retries: additional attempts after a failed or lost attempt.
+        progress: callable receiving one line per claimed/finished cell
+            (None = silent); worker processes inherit it.
+    """
+
+    def __init__(
+        self,
+        ctx: ExperimentContext,
+        jobs: int = 1,
+        timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
+        retries: int = DEFAULT_RETRIES,
+        progress: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        if jobs < 1:
+            raise FleetError(f"jobs must be >= 1, got {jobs}")
+        queue_dir = tempfile.mkdtemp(prefix="pgss-local-queue-")
+        weakref.finalize(self, shutil.rmtree, queue_dir, ignore_errors=True)
+        super().__init__(ctx, Path(queue_dir), retries=retries)
+        self.jobs = jobs
+        self.timeout_s = timeout_s
+        self.progress = progress
+
+    def wait(
+        self,
+        handle: Union[JobHandle, str],
+        timeout_s: Optional[float] = None,
+    ) -> JobState:
+        """Drain the private queue until the job is finished.
+
+        Local workers execute every queued cell, so *timeout_s* is not
+        consulted.  If every worker exits while the job is unfinished (a
+        worker process died holding a lease), another round starts; each
+        reaped lease charges an attempt, so the rounds end once retry
+        budgets are spent.
+        """
+        state = self.status(handle)
+        while not state.finished:
+            if self.jobs == 1:
+                _drain_queue(self.queue.root, self.timeout_s, self.progress)
+            else:
+                self._drain_in_processes()
+            state = self.status(handle)
+        return state
+
+    def _drain_in_processes(self) -> None:
+        """One round of ``jobs`` draining worker processes."""
+        args = (self.queue.root, self.timeout_s, self.progress)
+        procs = [
+            multiprocessing.Process(target=_drain_queue, args=args)
+            for _ in range(self.jobs)
+        ]
+        for proc in procs:
+            proc.start()
+        alive = {proc.sentinel: proc for proc in procs}
+        try:
+            while alive:
+                # Join each worker as soon as it exits: an unjoined child
+                # stays a zombie, and a zombie's pid still looks alive to
+                # the queue's lease check, stranding its lease.
+                ready = multiprocessing.connection.wait(list(alive))
+                for sentinel in [s for s in alive if s in ready]:
+                    alive.pop(sentinel).join()
+        finally:
+            for proc in alive.values():
+                proc.terminate()
+                proc.join()

@@ -1,13 +1,14 @@
 """The fleet worker: claims cells from a queue and executes them.
 
-``pgss-sim worker --queue DIR`` runs this loop.  Each claimed task is
-executed through the exact same entry point the in-process pool uses
-(:func:`repro.experiments.parallel._execute_cell`), against a context
-rebuilt from the spec embedded in the task — so a cell produces the
-same cache bytes whether it runs serially, in a local pool, or on a
-fleet worker three hosts away.  Results never travel through the queue:
-they are published into the shared :class:`ResultCache`, and the queue
-only records small outcome documents.
+``pgss-sim worker --queue DIR`` runs this loop, and so does
+:class:`~repro.fleet.service.LocalService` over its private queue:
+:meth:`Worker.run_one` is the only place a cell is executed.  Each
+claimed task runs against a context rebuilt from the document embedded
+in the task, under a ``SIGALRM`` time budget — so a cell produces the
+same cache bytes whether it runs in-process, in a local worker process,
+or on a fleet worker three hosts away.  Results never travel through
+the queue: they are published into the shared :class:`ResultCache`, and
+the queue only records small outcome documents.
 
 While a cell runs, a daemon heartbeat thread refreshes the task's lease
 at a third of the lease interval.  If this process dies, the heartbeats
@@ -19,7 +20,9 @@ see DESIGN.md §17).
 
 from __future__ import annotations
 
+import math
 import os
+import signal
 import socket
 import threading
 import time
@@ -27,17 +30,84 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
-from ..errors import FleetError
-from ..experiments.parallel import DEFAULT_TIMEOUT_S, _execute_cell
-from .queue import DEFAULT_LEASE_S, ClaimedTask, JobQueue, spec_from_doc
+from ..errors import FleetError, OrchestrationError
+from ..experiments.cells import ExperimentCell, run_cell
+from ..experiments.runner import ExperimentContext
+from .queue import DEFAULT_LEASE_S, ClaimedTask, JobQueue, context_from_doc
 
-__all__ = ["DEFAULT_CHECKPOINT_WINDOWS", "DEFAULT_POLL_S", "Worker", "run_worker"]
+__all__ = [
+    "DEFAULT_CHECKPOINT_WINDOWS",
+    "DEFAULT_POLL_S",
+    "DEFAULT_TIMEOUT_S",
+    "Worker",
+    "run_worker",
+]
 
 #: Seconds an idle worker sleeps between queue scans.
 DEFAULT_POLL_S = 0.5
 
 #: Windows between two mid-cell checkpoint saves on fleet workers.
 DEFAULT_CHECKPOINT_WINDOWS = 32
+
+#: Default per-cell wall-clock budget.
+DEFAULT_TIMEOUT_S = 600.0
+
+
+class _CellTimeout(OrchestrationError):
+    """Raised inside a worker when a cell exceeds its time budget."""
+
+
+def _on_alarm(signum: int, frame: Any) -> None:
+    raise _CellTimeout("cell exceeded its time budget")
+
+
+def _execute_cell(
+    ctx: ExperimentContext,
+    cell: ExperimentCell,
+    timeout_s: Optional[float],
+) -> Dict[str, Any]:
+    """Run one cell against *ctx*; return a small status record.
+
+    Results stay in the on-disk cache.  The timeout is enforced with
+    ``SIGALRM``, so a hung cell cannot hold its lease forever.
+    """
+    # SIGALRM can only be armed on the main thread; a worker driven from
+    # a helper thread (tests, embedders) runs without the in-process
+    # timeout and relies on the queue's lease expiry instead.
+    use_alarm = (
+        bool(timeout_s)
+        and hasattr(signal, "SIGALRM")
+        and threading.current_thread() is threading.main_thread()
+    )
+    previous_handler = None
+    # Host timing here measures orchestration wall time for reporting; it
+    # never influences simulated state.
+    start = time.perf_counter()  # simlint: disable=DET005
+    try:
+        if use_alarm:
+            previous_handler = signal.signal(signal.SIGALRM, _on_alarm)
+            signal.alarm(max(int(math.ceil(timeout_s or 0.0)), 1))
+        run_cell(ctx, cell)
+        status, error = "ok", ""
+    except _CellTimeout:
+        status, error = "timeout", f"exceeded {timeout_s:.0f}s budget"
+    except Exception as exc:
+        status, error = "error", f"{type(exc).__name__}: {exc}"
+    finally:
+        if use_alarm:
+            signal.alarm(0)
+            # The in-process worker shares the host's signal table;
+            # leaving _on_alarm installed would turn any later alarm in
+            # the host into a stray _CellTimeout.
+            if previous_handler is not None:
+                signal.signal(signal.SIGALRM, previous_handler)
+    elapsed = time.perf_counter() - start  # simlint: disable=DET005
+    return {
+        "status": status,
+        "seconds": elapsed,
+        "error": error,
+        "cache": ctx.cache.stats(),
+    }
 
 
 class Worker:
@@ -48,7 +118,7 @@ class Worker:
         worker_id: stable identity recorded in leases and outcomes;
             defaults to ``<host>:<pid>:<token>``.
         timeout_s: per-cell wall-clock budget (enforced in-process via
-            ``SIGALRM``, exactly like the pool runner).
+            ``SIGALRM``).
         poll_s: idle sleep between scans when no task is claimable.
         drain: exit once the queue has no pending tasks and no active
             leases, instead of waiting for new work forever.
@@ -111,17 +181,19 @@ class Worker:
             f"claim cell={task.cell.cell_id} worker={self.worker_id} "
             f"attempt={task.attempts}/{1 + task.retries}",
         )
-        spec = spec_from_doc(task.spec_doc)
-        spec["checkpoint_dir"] = str(task.checkpoint_dir)
-        spec["checkpoint_windows"] = self.checkpoint_windows
         stop = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(task, stop), daemon=True
         )
         beat.start()
         try:
-            record = _execute_cell(spec, task.cell, self.timeout_s, None)
-        except Exception as exc:  # _execute_cell is defensive; belt+braces
+            ctx = context_from_doc(
+                task.spec_doc,
+                checkpoint_dir=task.checkpoint_dir,
+                checkpoint_windows=self.checkpoint_windows,
+            )
+            record = _execute_cell(ctx, task.cell, self.timeout_s)
+        except Exception as exc:  # e.g. a malformed context document
             record = {
                 "status": "error",
                 "seconds": 0.0,

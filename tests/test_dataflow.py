@@ -101,7 +101,7 @@ class TestModuleIR:
         )
         assert module_name_for("/x/repro/events.py") == "repro.events"
         assert module_name_for("a/b/loose.py") == "loose"
-        assert module_name_for("src/repro/bbv/__init__.py") == "repro.bbv"
+        assert module_name_for("src/repro/signals/__init__.py") == "repro.signals"
 
     def test_extraction_survives_syntax_error(self, tmp_path):
         path = tmp_path / "broken.py"

@@ -1,13 +1,15 @@
 """Tests for the distributed experiment fleet (`repro.fleet`).
 
 Covers the filesystem job queue (claim semantics, priorities, leases,
-retries, cancellation, sweeping), the worker loop, the spec JSON round
-trip, the `ExperimentService` facade on both backends, the
-fleet-vs-serial byte-identity guarantee, worker death with
-checkpointed resume, and the `jobs`/`worker` CLI wiring.
+retries, cancellation, sweeping), the worker loop, the context JSON
+round trip, the `ExperimentService` facade on both backends, the
+fleet-vs-serial byte-identity guarantee, worker death (with
+checkpointed resume on a shared queue, and under `LocalService`'s
+worker processes), and the `jobs`/`worker` CLI wiring.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -16,17 +18,22 @@ import pytest
 from repro.cli import build_parser, main
 from repro.config import Scale
 from repro.errors import FleetError
-from repro.experiments import ExperimentContext, ResultCache, trace_cell
-from repro.experiments.parallel import _context_spec
+from repro.experiments import (
+    ExperimentCell,
+    ExperimentContext,
+    ResultCache,
+    trace_cell,
+)
 from repro.fleet import (
     JobHandle,
     JobQueue,
     LocalService,
     QueueService,
     Worker,
-    spec_from_doc,
-    spec_to_doc,
+    context_from_doc,
+    context_to_doc,
 )
+from repro.fleet import worker as worker_mod
 
 BENCHMARKS = ["164.gzip", "300.twolf"]
 
@@ -42,7 +49,7 @@ def make_queue(tmp_path, **kwargs):
 
 
 def spec_doc(cache_dir):
-    return spec_to_doc(_context_spec(make_ctx(cache_dir)))
+    return context_to_doc(make_ctx(cache_dir))
 
 
 def submit_traces(queue, cache_dir, benchmarks=BENCHMARKS, **kwargs):
@@ -53,12 +60,13 @@ def submit_traces(queue, cache_dir, benchmarks=BENCHMARKS, **kwargs):
 class TestSpecRoundTrip:
     def test_doc_survives_json_and_rebuilds_equal_configs(self, tmp_path):
         ctx = make_ctx(tmp_path / "cache")
-        doc = json.loads(json.dumps(spec_to_doc(_context_spec(ctx))))
-        spec = spec_from_doc(doc)
-        assert spec["scale"] == ctx.scale
-        assert spec["machine"] == ctx.machine
-        assert spec["benchmarks"] == BENCHMARKS
-        assert str(ctx.cache.directory) == spec["cache_dir"]
+        doc = json.loads(json.dumps(context_to_doc(ctx)))
+        rebuilt = context_from_doc(doc)
+        assert rebuilt.scale == ctx.scale
+        assert rebuilt.machine == ctx.machine
+        assert rebuilt.benchmarks == BENCHMARKS
+        assert rebuilt.cache.directory == ctx.cache.directory
+        assert rebuilt.checkpoint_dir is None
 
 
 class TestJobQueue:
@@ -160,6 +168,60 @@ class TestJobQueue:
         state = queue.status(job)
         assert state.state == "failed"
         assert "lease expired" in list(state.failures.values())[0]
+
+    def _race_a_whole_attempt(self, queue, settle):
+        """Make w1 run one whole attempt between w2's scan and its claim."""
+        original = queue._try_claim
+
+        def racing_claim(name, worker):
+            queue._try_claim = original
+            settle(queue.claim_next("w1"))
+            return original(name, worker)
+
+        queue._try_claim = racing_claim
+
+    def test_claim_rereads_task_after_a_racing_attempt(self, tmp_path):
+        queue = make_queue(tmp_path)
+        job = submit_traces(
+            queue, tmp_path / "cache", benchmarks=["164.gzip"], retries=2
+        )
+        self._race_a_whole_attempt(queue, lambda t: t.fail({"error": "boom"}))
+        second = queue.claim_next("w2")
+        # The stale pre-claim read must not undo w1's attempt stamp.
+        assert second is not None and second.attempts == 2
+        second.complete({"seconds": 0.1})
+        [outcome] = queue.outcomes(job)
+        assert outcome["attempts"] == 2
+
+    def test_claim_skips_task_finished_by_a_racing_attempt(self, tmp_path):
+        queue = make_queue(tmp_path)
+        job = submit_traces(queue, tmp_path / "cache", benchmarks=["164.gzip"])
+        self._race_a_whole_attempt(queue, lambda t: t.complete({"seconds": 0.1}))
+        assert queue.claim_next("w2") is None
+        assert queue.drained()
+        assert queue.status(job).state == "done"
+        assert not list((queue.root / "tasks").glob("*.json"))
+
+    def test_reaper_keeps_a_claim_taken_after_its_stale_read(self, tmp_path):
+        queue = make_queue(tmp_path, lease_s=0.05)
+        job = submit_traces(
+            queue, tmp_path / "cache", benchmarks=["164.gzip"], retries=2
+        )
+        queue.claim_next("w1")
+        time.sleep(0.08)  # w1's lease expires
+        original = queue._try_reap_lock
+
+        def racing_lock(lock):
+            # w2 reaps w1's lease and re-claims before w3 takes the lock.
+            queue._try_reap_lock = original
+            assert queue.claim_next("w2").attempts == 2
+            return original(lock)
+
+        queue._try_reap_lock = racing_lock
+        assert queue.claim_next("w3") is None
+        [claim] = (queue.root / "claims").glob("*.json")
+        assert json.loads(claim.read_text())["worker"] == "w2"
+        assert queue.status(job).counts["running"] == 1
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         queue = make_queue(tmp_path, lease_s=0.1)
@@ -418,6 +480,86 @@ class TestLocalService:
         with pytest.raises(OrchestrationError):
             service.submit(figures="99")
 
+    def test_dead_worker_process_is_reaped_and_cell_retried(
+        self, tmp_path, monkeypatch
+    ):
+        """A local worker that dies mid-cell loses only that attempt.
+
+        The parent must join the dead child at once: an unjoined zombie
+        still answers ``kill(pid, 0)``, so its lease would look live for
+        the full 60 s and strand the surviving worker.
+        """
+        marker = tmp_path / "died-once"
+
+        def dies_on_first_attempt(ctx, cell):
+            # The first worker is busy with 164.gzip while the second
+            # claims 300.twolf and dies, so a parent that joined its
+            # workers in start order would block on the survivor, which
+            # in turn waits for the zombie's lease.
+            if cell.benchmark == "164.gzip":
+                time.sleep(0.3)
+            elif not marker.exists():
+                marker.write_text("x")
+                os._exit(1)
+
+        monkeypatch.setattr(worker_mod, "run_cell", dies_on_first_attempt)
+        service = LocalService(make_ctx(tmp_path / "cache"), jobs=2)
+        handle = service.submit(cells=[trace_cell(b) for b in BENCHMARKS])
+        start = time.monotonic()
+        state = service.wait(handle)
+        elapsed = time.monotonic() - start
+        assert state.state == "done"
+        attempts = {
+            o["cell_id"]: o["attempts"]
+            for o in service.queue.outcomes(handle.job_id)
+        }
+        assert attempts == {"trace/164.gzip": 1, "trace/300.twolf": 2}
+        assert elapsed < 30.0
+
+    def test_more_workers_than_cores_run_each_cell_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Stress: racing claims and reaps must not run a cell twice."""
+        runs = tmp_path / "runs"
+        runs.mkdir()
+
+        def record_run(ctx, cell):
+            index = cell.kwargs()["index"]
+            (runs / f"{index}.{os.getpid()}.{time.monotonic_ns()}").touch()
+
+        monkeypatch.setattr(worker_mod, "run_cell", record_run)
+        cells = [
+            ExperimentCell.make("trace", "164.gzip", index=i) for i in range(60)
+        ]
+        jobs = 2 * (os.cpu_count() or 1) + 1
+        service = LocalService(make_ctx(tmp_path / "cache"), jobs=jobs)
+        handle = service.submit(cells=cells)
+        start = time.monotonic()
+        assert service.wait(handle).state == "done"
+        assert time.monotonic() - start < 60.0
+        outcomes = service.queue.outcomes(handle.job_id)
+        assert [o["attempts"] for o in outcomes] == [1] * len(cells)
+        executed = sorted(int(p.name.split(".")[0]) for p in runs.iterdir())
+        assert executed == list(range(len(cells)))
+
+    def test_every_worker_dead_starts_another_round(self, tmp_path, monkeypatch):
+        """Both workers die on the cell; wait() starts a fresh round."""
+        deaths = tmp_path / "deaths"
+        deaths.mkdir()
+
+        def dies_twice(ctx, cell):
+            if len(list(deaths.iterdir())) < 2:
+                (deaths / str(os.getpid())).write_text("x")
+                os._exit(1)
+
+        monkeypatch.setattr(worker_mod, "run_cell", dies_twice)
+        service = LocalService(make_ctx(tmp_path / "cache"), jobs=2, retries=2)
+        handle = service.submit(cells=[trace_cell("164.gzip")])
+        assert service.wait(handle).state == "done"
+        [outcome] = service.queue.outcomes(handle.job_id)
+        assert outcome["attempts"] == 3
+        assert len(list(deaths.iterdir())) == 2
+
 
 class TestQueueService:
     def test_submit_worker_fetch_round_trip(self, tmp_path):
@@ -479,9 +621,9 @@ class TestFleetCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["jobs", "submit"])
 
-    def test_parser_run_all_queue_flag(self):
-        args = build_parser().parse_args(["run-all", "--queue", "q"])
-        assert args.queue == "q"
+    def test_parser_run_all_has_no_queue_alias(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run-all", "--queue", "q"])
 
     def test_cli_submit_worker_status_fetch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

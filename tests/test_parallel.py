@@ -1,10 +1,13 @@
-"""Tests for the parallel orchestration layer and the concurrency-safe cache.
+"""Tests for local cell fan-out and the concurrency-safe cache.
 
 Covers the cache's atomic publication, duplicate-work suppression,
 corruption quarantine, and strict keying; cell enumeration and
-deduplication; the parallel driver's timeout/retry handling; the
-byte-identity of ``--jobs 1`` vs ``--jobs N`` figure results; and the
-``run-all`` CLI wiring.
+deduplication; ``LocalService``'s timeout/retry handling through the
+fleet worker; the byte-identity of ``--jobs 1`` vs ``--jobs N`` figure
+results; and the ``run-all`` CLI wiring.
+
+Faults are injected by monkeypatching the worker's cell runner before
+``wait()``; forked worker processes inherit the patch.
 """
 
 import json
@@ -21,13 +24,13 @@ from repro.errors import CacheError, OrchestrationError, SamplingError
 from repro.experiments import (
     ExperimentCell,
     ExperimentContext,
-    ParallelRunner,
     ResultCache,
     enumerate_cells,
-    run_cells,
     trace_cell,
 )
 from repro.experiments.cells import TRACE_FIGURE
+from repro.fleet import LocalService
+from repro.fleet import worker as worker_mod
 from repro.sampling.full import ReferenceTrace
 
 PAYLOAD = {"kind": "stress", "k": 1}
@@ -253,85 +256,103 @@ class TestCells:
             run_one(ctx, bad)
 
 
+def _run_local(ctx, cells, monkeypatch=None, runner=None, **kwargs):
+    """Submit *cells* to a LocalService, wait, return (state, done records)."""
+    if runner is not None:
+        monkeypatch.setattr(worker_mod, "run_cell", runner)
+    service = LocalService(ctx, **kwargs)
+    handle = service.submit(cells=cells)
+    state = service.wait(handle)
+    return state, service.queue.outcomes(handle.job_id)
+
+
 class TestParallelRunner:
     def test_rejects_bad_jobs(self, tmp_path):
         with pytest.raises(OrchestrationError):
-            ParallelRunner(_make_ctx(tmp_path), jobs=0)
+            LocalService(_make_ctx(tmp_path), jobs=0)
 
-    def test_serial_outcomes_in_order(self, tmp_path):
+    def test_serial_outcomes_in_order(self, tmp_path, monkeypatch):
         ctx = _make_ctx(tmp_path)
         cells = [trace_cell(b) for b in ctx.benchmarks]
-        outcomes = run_cells(ctx, cells, jobs=1, cell_runner=_noop_runner)
-        assert [o.cell for o in outcomes] == cells
-        assert all(o.status == "ok" and o.attempts == 1 for o in outcomes)
+        state, outcomes = _run_local(
+            ctx, cells, monkeypatch, _noop_runner, jobs=1
+        )
+        assert state.state == "done"
+        assert [o["cell_id"] for o in outcomes] == [c.cell_id for c in cells]
+        assert all(o["status"] == "ok" and o["attempts"] == 1 for o in outcomes)
 
-    def test_pool_timeout_is_reported(self, tmp_path):
+    def test_pool_timeout_is_reported(self, tmp_path, monkeypatch):
         ctx = _make_ctx(tmp_path)
-        outcomes = run_cells(
+        state, [outcome] = _run_local(
             ctx,
             [trace_cell("164.gzip")],
+            monkeypatch,
+            _sleepy_runner,
             jobs=2,
             timeout_s=1.0,
             retries=0,
-            cell_runner=_sleepy_runner,
         )
-        assert outcomes[0].status == "timeout"
-        assert "budget" in outcomes[0].error
+        assert state.state == "failed"
+        assert outcome["status"] == "failed"
+        assert "budget" in outcome["error"]
+        assert "budget" in state.failures[outcome["cell_id"]]
 
-    def test_pool_retry_recovers_transient_fault(self, tmp_path):
+    def test_pool_retry_recovers_transient_fault(self, tmp_path, monkeypatch):
         ctx = _make_ctx(tmp_path)
         cells = [trace_cell(b) for b in ctx.benchmarks]
-        outcomes = run_cells(
-            ctx, cells, jobs=2, retries=1, cell_runner=_flaky_runner
+        state, outcomes = _run_local(
+            ctx, cells, monkeypatch, _flaky_runner, jobs=2, retries=1
         )
-        assert all(o.status == "ok" for o in outcomes)
-        assert all(o.attempts == 2 for o in outcomes)
+        assert state.state == "done"
+        assert all(o["status"] == "ok" for o in outcomes)
+        assert all(o["attempts"] == 2 for o in outcomes)
 
-    def test_retries_exhausted_reports_error(self, tmp_path):
+    def test_retries_exhausted_reports_error(self, tmp_path, monkeypatch):
         ctx = _make_ctx(tmp_path)
 
         def always_fails(ctx, cell):
             raise SamplingError("permanent fault")
 
-        outcomes = run_cells(
+        state, [outcome] = _run_local(
             ctx,
             [trace_cell("164.gzip")],
+            monkeypatch,
+            always_fails,
             jobs=1,
             retries=1,
-            cell_runner=always_fails,
         )
-        assert outcomes[0].status == "error"
-        assert outcomes[0].attempts == 2
-        assert "permanent fault" in outcomes[0].error
+        assert state.state == "failed"
+        assert outcome["attempts"] == 2
+        assert "permanent fault" in outcome["error"]
+        assert "permanent fault" in state.failures[outcome["cell_id"]]
 
-    def test_progress_lines_emitted(self, tmp_path):
+    def test_progress_lines_emitted(self, tmp_path, monkeypatch):
         ctx = _make_ctx(tmp_path)
         lines = []
         cells = [trace_cell(b) for b in ctx.benchmarks]
-        run_cells(ctx, cells, jobs=1, progress=lines.append, cell_runner=_noop_runner)
-        assert len(lines) == len(cells)
-        assert lines[-1].startswith(f"[{len(cells)}/{len(cells)}]")
-        assert "ETA" in lines[0]
+        _run_local(
+            ctx, cells, monkeypatch, _noop_runner, jobs=1, progress=lines.append
+        )
+        assert len(lines) == 2 * len(cells)
+        for cell in cells:
+            assert any(f"claimed {cell.cell_id}" in line for line in lines)
+            assert any(f"finished {cell.cell_id}: ok" in line for line in lines)
 
 
 class TestWorkerAlarmHygiene:
-    def test_execute_cell_restores_sigalrm_handler(self, tmp_path):
+    def test_execute_cell_restores_sigalrm_handler(self, tmp_path, monkeypatch):
         """Regression: _execute_cell leaked _on_alarm into the host when
         run in-process, turning any later host alarm into a _CellTimeout."""
         import signal
 
-        from repro.experiments.parallel import _context_spec, _execute_cell
-
         def sentinel(signum, frame):  # pragma: no cover - never fired
             raise AssertionError("sentinel alarm fired")
 
+        monkeypatch.setattr(worker_mod, "run_cell", _noop_runner)
         previous = signal.signal(signal.SIGALRM, sentinel)
         try:
-            record = _execute_cell(
-                _context_spec(_make_ctx(tmp_path)),
-                trace_cell("164.gzip"),
-                5.0,
-                _noop_runner,
+            record = worker_mod._execute_cell(
+                _make_ctx(tmp_path), trace_cell("164.gzip"), 5.0
             )
             assert record["status"] == "ok"
             assert signal.getsignal(signal.SIGALRM) is sentinel
@@ -339,10 +360,8 @@ class TestWorkerAlarmHygiene:
         finally:
             signal.signal(signal.SIGALRM, previous)
 
-    def test_execute_cell_restores_handler_on_error(self, tmp_path):
+    def test_execute_cell_restores_handler_on_error(self, tmp_path, monkeypatch):
         import signal
-
-        from repro.experiments.parallel import _context_spec, _execute_cell
 
         def sentinel(signum, frame):  # pragma: no cover - never fired
             raise AssertionError("sentinel alarm fired")
@@ -350,13 +369,11 @@ class TestWorkerAlarmHygiene:
         def failing_runner(ctx, cell):
             raise SamplingError("boom")
 
+        monkeypatch.setattr(worker_mod, "run_cell", failing_runner)
         previous = signal.signal(signal.SIGALRM, sentinel)
         try:
-            record = _execute_cell(
-                _context_spec(_make_ctx(tmp_path)),
-                trace_cell("164.gzip"),
-                5.0,
-                failing_runner,
+            record = worker_mod._execute_cell(
+                _make_ctx(tmp_path), trace_cell("164.gzip"), 5.0
             )
             assert record["status"] == "error"
             assert signal.getsignal(signal.SIGALRM) is sentinel
@@ -371,17 +388,17 @@ class TestParallelEquality:
         serial_ctx = _make_ctx(tmp_path / "serial")
         parallel_ctx = _make_ctx(tmp_path / "parallel")
 
-        serial = run_cells(
+        serial, _ = _run_local(
             serial_ctx,
             enumerate_cells(serial_ctx, figures=EQUALITY_FIGURES),
             jobs=1,
         )
-        parallel = run_cells(
+        parallel, _ = _run_local(
             parallel_ctx,
             enumerate_cells(parallel_ctx, figures=EQUALITY_FIGURES),
             jobs=2,
         )
-        assert all(o.status == "ok" for o in serial + parallel)
+        assert serial.state == parallel.state == "done"
 
         import repro.experiments.fig02_sampling_granularity as fig02
         import repro.experiments.fig07_change_distribution as fig07
@@ -391,6 +408,8 @@ class TestParallelEquality:
             b = json.dumps(module.run(parallel_ctx), sort_keys=True)
             assert a == b
         # Figure assembly after the fan-out reads pure cache hits.
+        assert serial_ctx.cache.stats()["misses"] == 0
+        assert parallel_ctx.cache.stats()["misses"] == 0
         assert serial_ctx.cache.stats()["corrupt"] == 0
         assert parallel_ctx.cache.stats()["corrupt"] == 0
 
