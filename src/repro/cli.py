@@ -256,13 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="also sweep this queue directory: reap expired leases, "
-        "requeue or fail their tasks, drop orphaned tmp files and "
-        "checkpoints",
+        "requeue or fail their tasks, drop orphaned checkpoints and tmp "
+        "files older than one lease",
     )
     p_clear.add_argument(
         "--sweep",
         action="store_true",
-        help="only remove crash litter (stale claims, tmp files); keep "
+        help="only remove crash litter (orphaned tmp files); keep "
         "cached results",
     )
     return parser
@@ -545,7 +545,7 @@ def _cmd_run_all(
     stats = ctx.cache.stats()
     print(
         f"cache: {stats['hits']} hits, {stats['misses']} misses, "
-        f"{stats['races']} races, {stats['corrupt']} corrupt entries",
+        f"{stats['corrupt']} corrupt entries",
         file=sys.stderr,
     )
     return 0
@@ -582,10 +582,7 @@ def _cmd_clear_cache(queue: Optional[str], sweep_only: bool) -> int:
     cache = ResultCache()
     if sweep_only:
         swept = cache.sweep()
-        print(
-            f"swept cache: {swept['stale_claims']} stale claims, "
-            f"{swept['tmp_files']} tmp files removed"
-        )
+        print(f"swept cache: {swept['tmp_files']} tmp files removed")
     else:
         removed = cache.clear()
         print(f"removed {removed} cached files")

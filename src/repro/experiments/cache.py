@@ -10,14 +10,15 @@ The cache is safe for concurrent writers across processes:
 
 * every entry is published with a write-to-unique-tmp + ``os.replace``
   sequence, so readers only ever observe absent or complete files;
-* a ``<key>.<ext>.claim`` file (created with ``O_EXCL``) suppresses
-  duplicate work — the first writer computes while the others wait for
-  the published entry, stealing the claim only if its holder died;
 * unreadable entries (torn by a crash predating this scheme, or damaged
   on disk) are quarantined to ``<key>.<ext>.corrupt`` and recomputed
   instead of poisoning every later read;
-* per-instance ``hits`` / ``misses`` / ``races`` / ``corrupt`` counters
-  make the behaviour observable (see :meth:`ResultCache.stats`).
+* per-instance ``hits`` / ``misses`` / ``corrupt`` counters make the
+  behaviour observable (see :meth:`ResultCache.stats`).
+
+The cache holds no locks: the fleet queue's leases decide who runs a
+cell (DESIGN.md §12).  Two processes that miss on one key at once both
+compute it; results are deterministic, so both publish the same bytes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import socket
-import time
 import uuid
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, TypeVar
@@ -42,16 +41,8 @@ T = TypeVar("T")
 #: timing semantics, workload definitions, estimators).
 CACHE_VERSION = 7
 
-#: How long a reader waits on another process's claim before giving up
-#: and computing the entry itself (results are deterministic, so a
-#: duplicated computation publishes identical bytes).
-_CLAIM_WAIT_S = 600.0
-
-#: Poll interval while waiting on a peer's claim.
-_CLAIM_POLL_S = 0.05
-
 #: File suffixes the cache may leave in its directory.
-_CACHE_SUFFIXES = (".json", ".npz", ".tmp", ".claim", ".corrupt")
+_CACHE_SUFFIXES = (".json", ".npz", ".tmp", ".corrupt")
 
 
 def _default_cache_dir() -> Path:
@@ -77,17 +68,14 @@ class ResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        #: Times this instance found another writer working on its key.
-        self.races = 0
         #: Unreadable entries quarantined and recomputed.
         self.corrupt = 0
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot: hits, misses, races, corrupt."""
+        """Counter snapshot: hits, misses, corrupt."""
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "races": self.races,
             "corrupt": self.corrupt,
         }
 
@@ -128,11 +116,10 @@ class ResultCache:
         return self._get(path, _load_trace, _dump_trace, compute)
 
     def clear(self) -> int:
-        """Delete every cache-owned file (entries, tmp, claim, quarantine).
+        """Delete every cache-owned file (entries, tmp, quarantine).
 
-        Returns the number of files removed.  Sweeping ``.tmp`` and
-        ``.claim`` files keeps leftovers from interrupted runs from
-        accumulating forever.
+        Returns the number of files removed.  Sweeping ``.tmp`` files
+        keeps leftovers from interrupted runs from accumulating forever.
         """
         removed = 0
         for path in sorted(self.directory.glob("*")):
@@ -147,29 +134,20 @@ class ResultCache:
     def sweep(self) -> Dict[str, int]:
         """Remove crash litter without touching published entries.
 
-        Deletes orphaned ``.tmp`` files and ``.claim`` files whose
-        holder is dead (same-host check; foreign-host claims are left to
-        the wait-deadline logic).  Returns counts per category — run by
+        Deletes orphaned ``.tmp`` files and returns their count — run by
         ``pgss-sim clear-cache --sweep`` after killing workers.
         """
-        report = {"stale_claims": 0, "tmp_files": 0}
-        for path in sorted(self.directory.glob("*.claim")):
-            if not self._claim_holder_alive(path):
-                try:
-                    path.unlink()
-                    report["stale_claims"] += 1
-                except OSError:
-                    pass
+        removed = 0
         for path in sorted(self.directory.glob("*.tmp")):
             try:
                 path.unlink()
-                report["tmp_files"] += 1
+                removed += 1
             except OSError:
                 pass
-        return report
+        return {"tmp_files": removed}
 
     # ------------------------------------------------------------------
-    # Concurrency-safe get-or-compute machinery.
+    # Get-or-compute with atomic publication.
 
     def _get(
         self,
@@ -183,22 +161,6 @@ class ResultCache:
             self.hits += 1
             return value
 
-        claim = path.with_name(path.name + ".claim")
-        claimed = self._try_claim(claim)
-        if not claimed:
-            # Another process is computing this key right now: wait for
-            # its published entry instead of duplicating the work.
-            self.races += 1
-            value = self._wait_for_peer(path, claim, load)
-            if value is not None:
-                self.hits += 1
-                return value
-            # The peer crashed, stalled past the deadline, or published a
-            # corrupt entry — compute ourselves (claim is best-effort now;
-            # a duplicated deterministic computation is harmless because
-            # publication is atomic).
-            claimed = self._try_claim(claim)
-
         self.misses += 1
         tmp = self._tmp_path(path)
         try:
@@ -211,8 +173,6 @@ class ResultCache:
                     tmp.unlink()
                 except OSError:
                     pass
-            if claimed:
-                self._release_claim(claim)
         return result
 
     def _load(self, path: Path, load: Callable[[Path], T]) -> Optional[T]:
@@ -243,76 +203,6 @@ class ResultCache:
         """A tmp name unique per writer (pid + random token)."""
         token = uuid.uuid4().hex[:8]
         return path.with_name(f"{path.name}.{os.getpid()}.{token}.tmp")
-
-    def _try_claim(self, claim: Path) -> bool:
-        """Atomically create *claim*; False if another writer holds it."""
-        try:
-            fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            # Filesystem without O_EXCL semantics or other failure: skip
-            # duplicate suppression rather than blocking the computation.
-            return True
-        with os.fdopen(fd, "w") as fh:
-            # "pid host": liveness is only checkable on the claimant's
-            # own host, so peers elsewhere must honour the claim until
-            # the wait deadline.  Pre-host claims hold a bare pid; the
-            # parser accepts both.
-            fh.write(f"{os.getpid()} {socket.gethostname()}")
-        return True
-
-    def _release_claim(self, claim: Path) -> None:
-        try:
-            claim.unlink()
-        except OSError:
-            pass
-
-    @staticmethod
-    def _claim_holder_alive(claim: Path) -> bool:
-        try:
-            parts = claim.read_text().split()
-        except OSError:
-            return False
-        try:
-            pid = int(parts[0]) if parts else 0
-        except ValueError:
-            return False
-        if pid <= 0:
-            return False
-        if len(parts) > 1 and parts[1] != socket.gethostname():
-            # A pid on another fleet host is unverifiable from here;
-            # treat the claim as live and let the wait deadline bound
-            # how long a truly dead foreign holder can stall us.
-            return True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except OSError:
-            return True  # e.g. EPERM: alive but owned by another user
-        return True
-
-    def _wait_for_peer(
-        self, path: Path, claim: Path, load: Callable[[Path], T]
-    ) -> Optional[T]:
-        """Wait for the claim holder to publish; None if we must compute."""
-        # Host timing bounds how long we wait on a peer process; it never
-        # influences simulated state.
-        deadline = time.monotonic() + _CLAIM_WAIT_S  # simlint: disable=DET005
-        while True:
-            if path.exists():
-                return self._load(path, load)
-            if not claim.exists():
-                # Holder finished without publishing (crashed mid-compute
-                # or its entry was quarantined): our turn.
-                return None
-            if not self._claim_holder_alive(claim):
-                self._release_claim(claim)  # steal the stale claim
-                return None
-            if time.monotonic() >= deadline:  # simlint: disable=DET005
-                return None
-            time.sleep(_CLAIM_POLL_S)
 
 
 def _load_json(path: Path) -> Dict[str, Any]:

@@ -79,9 +79,10 @@ def _cached_rates(ctx: ExperimentContext) -> Dict[str, float]:
     """The cached per-mode rate table (measured once per cache lifetime).
 
     Rates are host-time measurements, so unlike every other cell they are
-    not reproducible across cache-cleared runs — but caching the single
-    measurement means every consumer (serial or parallel, any job count)
-    reads the same numbers.
+    not reproducible across cache-cleared runs.  Within one job the queue
+    runs the rates cell once and every consumer reads its entry.  Two
+    jobs sharing a cache directory that both miss measure twice, and the
+    last publish wins.
     """
     return ctx.cache.json(
         {"kind": "rates", "scale": ctx.scale.name, "ops": RATE_OPS,

@@ -3,7 +3,7 @@
 The package behind ``pgss-sim jobs`` and ``pgss-sim worker``:
 
 * :mod:`repro.fleet.queue` — the shared-directory :class:`JobQueue`
-  (O_EXCL claims, leases with heartbeats, priorities, retry budgets).
+  (atomic claims, leases with heartbeats, priorities, retry budgets).
 * :mod:`repro.fleet.worker` — the :class:`Worker` loop that claims
   cells, executes them (:meth:`Worker.run_one` is the only place a cell
   runs) with mid-cell checkpointing, and publishes through the result

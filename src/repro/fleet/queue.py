@@ -13,11 +13,11 @@ job per submitted experiment and one task per
       checkpoints/<task>/   mid-cell engine checkpoints of the claim holder
       logs/<task>.log       append-only per-task execution log (workers)
 
-The claim protocol mirrors the result cache's ``.claim`` files
-(DESIGN.md §12): ``O_EXCL`` creation is the atomic test-and-set, so any
-number of workers on any number of hosts sharing the directory claim
-each task exactly once.  Unlike cache claims, queue claims are *leases*:
-the claim file records a wall-clock expiry that the executing worker
+Queue claims are the only claim mechanism (DESIGN.md §12; the result
+cache takes none).  ``O_EXCL`` creation of the claim file is the atomic
+test-and-set, so any number of workers on any number of hosts sharing
+the directory claim each task exactly once.  Claims are *leases*: the
+claim file records a wall-clock expiry that the executing worker
 refreshes by heartbeat, and an expired lease is reaped by whichever
 worker scans the task next — the task's attempt count is charged and the
 cell is retried (resuming from its latest checkpoint) or, with the retry
@@ -567,8 +567,10 @@ class JobQueue:
 
         Run by ``pgss-sim clear-cache --queue DIR`` (and safe to run any
         time): tasks whose holder died resume being claimable, tasks out
-        of retry budget are finalised as failed, stray ``.tmp`` files
-        and checkpoints of finished tasks are deleted.
+        of retry budget are finalised as failed, and checkpoints of
+        finished tasks are deleted.  A ``.tmp`` file is deleted only once
+        it is older than one lease: a younger one may belong to a live
+        writer about to ``os.replace`` it.
         """
         report = QueueSweep()
         for claim_path in sorted((self.root / "claims").glob("*.json")):
@@ -586,9 +588,12 @@ class JobQueue:
                     report.failed += 1
                 else:
                     report.requeued += 1
+        cutoff = _now() - self.lease_s
         for sub in ("tasks", "claims", "done", "jobs"):
             for tmp in (self.root / sub).glob("*.tmp"):
                 try:
+                    if tmp.stat().st_mtime >= cutoff:
+                        continue
                     tmp.unlink()
                     report.orphan_files += 1
                 except OSError:

@@ -102,12 +102,7 @@ def _execute_cell(
             if previous_handler is not None:
                 signal.signal(signal.SIGALRM, previous_handler)
     elapsed = time.perf_counter() - start  # simlint: disable=DET005
-    return {
-        "status": status,
-        "seconds": elapsed,
-        "error": error,
-        "cache": ctx.cache.stats(),
-    }
+    return {"status": status, "seconds": elapsed, "error": error}
 
 
 class Worker:

@@ -9,6 +9,7 @@ worker processes), and the `jobs`/`worker` CLI wiring.
 """
 
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -55,6 +56,20 @@ def spec_doc(cache_dir):
 def submit_traces(queue, cache_dir, benchmarks=BENCHMARKS, **kwargs):
     cells = [trace_cell(b) for b in benchmarks]
     return queue.submit(cells, spec_doc(cache_dir), **kwargs)
+
+
+def _die_mid_trace_on_host_a(queue):
+    """Forked child: claim the trace cell as ``host-a`` and die inside it."""
+    import socket
+
+    from repro.experiments import runner as runner_mod
+
+    def killed(*args, **kwargs):
+        os._exit(1)
+
+    socket.gethostname = lambda: "host-a"
+    runner_mod.collect_reference_trace = killed
+    Worker(queue, poll_s=0.05, drain=True, checkpoint_windows=0).run()
 
 
 class TestSpecRoundTrip:
@@ -279,14 +294,27 @@ class TestQueueSweep:
 
     def test_sweep_removes_tmp_litter_and_orphan_checkpoints(self, tmp_path):
         queue = make_queue(tmp_path)
-        (queue.root / "tasks" / "stray.json.123.abc.tmp").write_text("x")
+        stray = queue.root / "tasks" / "stray.json.123.abc.tmp"
+        stray.write_text("x")
+        old = time.time() - 2 * queue.lease_s
+        os.utime(stray, (old, old))
         orphan = queue.root / "checkpoints" / "00.dead.00000"
         orphan.mkdir(parents=True)
         (orphan / "trace.ckpt").write_bytes(b"x")
         report = queue.sweep()
         assert report.orphan_files == 1
         assert report.orphan_checkpoints == 1
+        assert not stray.exists()
         assert not orphan.exists()
+
+    def test_sweep_keeps_a_live_writers_tmp(self, tmp_path):
+        """A fresh tmp may be about to be os.replace()d; leave it alone."""
+        queue = make_queue(tmp_path)
+        fresh = queue.root / "done" / "t.json.123.abc.tmp"
+        fresh.write_text("x")
+        report = queue.sweep()
+        assert fresh.exists()
+        assert report.orphan_files == 0
 
     def test_sweep_keeps_live_lease(self, tmp_path):
         queue = make_queue(tmp_path, lease_s=60.0)
@@ -441,6 +469,33 @@ class TestWorker:
         [serial_npz] = sorted(serial_dir.glob("*.npz"))
         fleet_npz = cache_dir / serial_npz.name
         assert fleet_npz.read_bytes() == serial_npz.read_bytes()
+
+    def test_retry_on_another_host_does_not_stall(self, tmp_path):
+        """A worker dying mid-cell on one host costs one retry elsewhere.
+
+        The cell's lease is the only claim: the retry on this host must
+        not wait on anything the dead foreign worker left behind.
+        """
+        queue = make_queue(tmp_path, lease_s=1.0)
+        job = submit_traces(
+            queue, tmp_path / "cache", benchmarks=["164.gzip"], retries=1
+        )
+        mp = multiprocessing.get_context("fork")
+        child = mp.Process(target=_die_mid_trace_on_host_a, args=(queue,))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 1
+
+        start = time.monotonic()
+        survivor = Worker(
+            queue, timeout_s=10, poll_s=0.05, drain=True, checkpoint_windows=0
+        )
+        survivor.run()
+        elapsed = time.monotonic() - start
+        assert queue.status(job).state == "done"
+        [outcome] = queue.outcomes(job)
+        assert outcome["attempts"] == 2
+        assert elapsed < 10.0
 
 
 class TestLocalService:

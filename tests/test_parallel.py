@@ -1,7 +1,7 @@
 """Tests for local cell fan-out and the concurrency-safe cache.
 
-Covers the cache's atomic publication, duplicate-work suppression,
-corruption quarantine, and strict keying; cell enumeration and
+Covers the cache's atomic publication, cleanup after a failed compute
+or dump, corruption quarantine, and strict keying; cell enumeration and
 deduplication; ``LocalService``'s timeout/retry handling through the
 fleet worker; the byte-identity of ``--jobs 1`` vs ``--jobs N`` figure
 results; and the ``run-all`` CLI wiring.
@@ -12,7 +12,6 @@ Faults are injected by monkeypatching the worker's cell runner before
 
 import json
 import multiprocessing
-import threading
 import time
 
 import numpy as np
@@ -28,6 +27,7 @@ from repro.experiments import (
     enumerate_cells,
     trace_cell,
 )
+from repro.experiments import cache as cache_mod
 from repro.experiments.cells import TRACE_FIGURE
 from repro.fleet import LocalService
 from repro.fleet import worker as worker_mod
@@ -103,49 +103,39 @@ class TestCacheConcurrency:
         entries = list(cache_dir.glob("*.json"))
         assert len(entries) == 1
         assert json.loads(entries[0].read_text())["value"] == 42
-        # No tmp or claim litter survives the race.
+        # No tmp litter survives the race.
         assert not list(cache_dir.glob("*.tmp"))
-        assert not list(cache_dir.glob("*.claim"))
 
-    def test_waiter_reuses_peer_result(self, tmp_path):
-        """A reader that loses the claim race waits instead of recomputing."""
-        first = ResultCache(tmp_path)
-        second = ResultCache(tmp_path)
-        claimed = threading.Event()
-        release = threading.Event()
 
-        def slow_compute():
-            claimed.set()
-            assert release.wait(timeout=30)
-            return {"value": "from-first"}
-
-        def never_compute():
-            raise AssertionError("waiter must not recompute")
-
-        holder = threading.Thread(
-            target=lambda: first.json({"k": "slow"}, slow_compute)
-        )
-        holder.start()
-        assert claimed.wait(timeout=30)
-        # First holds the claim now; let it publish shortly after the
-        # second reader has started waiting on it.
-        threading.Timer(0.2, release.set).start()
-        result = second.json({"k": "slow"}, never_compute)
-        holder.join(timeout=30)
-        assert result == {"value": "from-first"}
-        assert second.races == 1
-        assert second.hits == 1 and second.misses == 0
-
-    def test_stale_claim_is_stolen(self, tmp_path):
-        """A claim left by a dead process does not block readers."""
+class TestCacheFailedPublish:
+    @pytest.mark.parametrize("fault", ["compute", "dump"])
+    def test_failed_publish_leaves_nothing_and_recomputes(
+        self, tmp_path, monkeypatch, fault
+    ):
+        """A compute or dump that raises publishes no entry, leaves no tmp."""
         cache = ResultCache(tmp_path)
-        key = cache.key({"k": "stale"})
-        claim = tmp_path / f"{key}.json.claim"
-        claim.write_text("999999999")  # no such pid
-        result = cache.json({"k": "stale"}, lambda: {"v": 1})
-        assert result == {"v": 1}
-        assert cache.races == 1 and cache.misses == 1
-        assert not claim.exists()
+
+        def broken_compute():
+            raise SamplingError("simulated compute fault")
+
+        def torn_dump(result, tmp):
+            tmp.write_text('{"v": "fir')  # partial bytes, then the fault
+            raise OSError("simulated disk full")
+
+        with monkeypatch.context() as patch:
+            if fault == "dump":
+                patch.setattr(cache_mod, "_dump_json", torn_dump)
+            with pytest.raises((SamplingError, OSError)):
+                cache.json(
+                    {"k": 1},
+                    broken_compute if fault == "compute" else lambda: {"v": "first"},
+                )
+        assert not list(tmp_path.iterdir())
+        assert cache.json({"k": 1}, lambda: {"v": "again"}) == {"v": "again"}
+        assert cache.misses == 2 and cache.hits == 0
+        assert ResultCache(tmp_path).json({"k": 1}, lambda: {"v": "never"}) == {
+            "v": "again"
+        }
 
 
 class TestCacheCorruption:
@@ -196,13 +186,11 @@ class TestCacheHygiene:
         cache = ResultCache(tmp_path)
         cache.json({"k": 1}, lambda: {})
         (tmp_path / "deadbeef.json.123.abcd1234.tmp").write_text("torn")
-        (tmp_path / "deadbeef.json.claim").write_text("42")
         (tmp_path / "deadbeef.json.corrupt").write_text("bad")
         (tmp_path / "unrelated.txt").write_text("keep me")
-        assert cache.clear() == 4
+        assert cache.clear() == 3
         assert (tmp_path / "unrelated.txt").exists()
         assert not list(tmp_path.glob("*.tmp"))
-        assert not list(tmp_path.glob("*.claim"))
         assert not list(tmp_path.glob("*.corrupt"))
 
     def test_key_rejects_unserializable_payload(self, tmp_path):
