@@ -3,9 +3,12 @@
 Measures the raw simulation rate (ops/second) of every execution mode
 through both dispatch paths and asserts the batched layer delivers its
 headline speedups: FUNC_FAST with BBV tracking at least 5x the scalar
-event loop, and the batched detailed pipeline (run-length scoreboard
+event loop, the batched detailed pipeline (run-length scoreboard
 batching plus steady-state memoization) at least 10x the scalar DETAIL
-loop.
+loop, and batched functional warming (the pipeline's architectural
+kernel: silent spans, pinned fetch, bulk branch runs) at least 3x the
+scalar warmer.  The FUNC_WARM/DETAIL rate ratio — the paper's premise
+that warming is cheaper than detail — is recorded, not gated.
 
 Shared machines drift in effective speed by tens of percent over
 minutes, which is far more than the margins being asserted.  Each
@@ -88,7 +91,8 @@ def measure(ctx):
         for suffix in ("", "+bbv")
         if rates[f"{mode.value}_scalar{suffix}"]
     }
-    return {"rates": rates, "speedups": speedups}
+    warm_vs_detail = rates["func_warm"] / rates["detail"] if rates["detail"] else 0.0
+    return {"rates": rates, "speedups": speedups, "func_warm_vs_detail": warm_vs_detail}
 
 
 def format_result(result):
@@ -115,7 +119,10 @@ def format_result(result):
         f"batched FUNC_FAST+BBV speedup: "
         f"{result['speedups'].get('func_fast+bbv', 0.0):.1f}x\n"
         f"batched DETAIL speedup: "
-        f"{result['speedups'].get('detail', 0.0):.1f}x\n\n"
+        f"{result['speedups'].get('detail', 0.0):.1f}x\n"
+        f"batched FUNC_WARM speedup: "
+        f"{result['speedups'].get('func_warm', 0.0):.1f}x; "
+        f"FUNC_WARM / DETAIL rate: {result['func_warm_vs_detail']:.2f}\n\n"
     )
     return header + table(["mode", "batched", "scalar", "speedup"], rows)
 
@@ -132,6 +139,7 @@ def test_engine_rate(benchmark, ctx, results_dir):
         "python": platform.python_version(),
         "rates_ops_per_sec": {k: round(v, 1) for k, v in result["rates"].items()},
         "speedups": {k: round(v, 2) for k, v in result["speedups"].items()},
+        "func_warm_vs_detail": round(result["func_warm_vs_detail"], 2),
     }
     (results_dir / "BENCH_engine_rate.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -145,10 +153,12 @@ def test_engine_rate(benchmark, ctx, results_dir):
     assert result["speedups"]["func_fast+bbv"] >= 5.0
     assert result["speedups"]["func_fast"] >= 5.0
     assert result["speedups"]["detail"] >= 10.0
-    # The warm variants batch the same way; guard against regression
-    # without pinning them to the headline floor.
+    # Functional warming runs the pipeline's architectural kernel.
+    assert result["speedups"]["func_warm"] >= 3.0
+    assert result["speedups"]["func_warm+bbv"] >= 3.0
+    # The detailed warm variant batches the same way; guard against
+    # regression without pinning it to the headline floor.
     assert result["speedups"]["detail_warm"] >= 5.0
-    assert result["speedups"]["func_warm+bbv"] >= 0.9
 
     benchmark.extra_info["speedups"] = {
         k: round(v, 1) for k, v in result["speedups"].items()

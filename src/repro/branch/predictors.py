@@ -8,7 +8,7 @@ mispredict penalty.  The pattern-history tables are plain Python lists of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError, SnapshotError
 
@@ -77,6 +77,45 @@ class BranchPredictor:
         not-taken branch — into one call.
         """
         raise NotImplementedError
+
+    def apply_run(
+        self,
+        addr: int,
+        n: int,
+        ends_entry: bool,
+        takens: Optional[Sequence[bool]] = None,
+    ) -> List[int]:
+        """Apply the *n* branch outcomes of one block run in bulk.
+
+        The outcomes are those of :class:`~repro.program.stream.BlockRun`:
+        *takens* verbatim when given, otherwise all taken except the last
+        when *ends_entry*.  Byte-identical to *n* :meth:`predict_update`
+        calls: the uniformly-taken middle goes through
+        :meth:`taken_streak`, with a real update wherever the streak
+        stops.  Returns the indices of the mispredicted executions, in
+        ascending order.
+        """
+        predict_update = self.predict_update
+        misses: List[int] = []
+        if takens is not None:
+            for i, taken in enumerate(takens):
+                if not predict_update(addr, taken):
+                    misses.append(i)
+            return misses
+        uniform = n - 1 if ends_entry else n
+        taken_streak = self.taken_streak
+        i = 0
+        while i < uniform:
+            streak = taken_streak(addr, uniform - i)
+            if streak:
+                i += streak
+            else:
+                if not predict_update(addr, True):
+                    misses.append(i)
+                i += 1
+        if ends_entry and not predict_update(addr, False):
+            misses.append(uniform)
+        return misses
 
     def snapshot(self) -> Dict[str, Any]:
         """Capture predictor state for checkpointing."""

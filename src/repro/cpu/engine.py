@@ -206,8 +206,8 @@ class SimulationEngine:
         """Advance a functional mode through run-length batches.
 
         FUNC_FAST consumes whole runs with no per-event work at all;
-        FUNC_WARM replays each run's events through the warmer (state is
-        order-dependent) but skips per-event stream dispatch.  BBV
+        FUNC_WARM applies each run through the warmer's architectural
+        kernel (pinned fetch, silent data spans, bulk branch runs).  BBV
         accumulation is a single vectorised call per batch.  Both land in
         byte-identical stream/tracker/machine state to the scalar loop.
         """

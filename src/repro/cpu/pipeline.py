@@ -126,7 +126,11 @@ class InOrderPipeline:
         self._ctx_states: List[Tuple[Any, ...]] = []
         self._chain: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         self._paths: Dict[int, Any] = {}
-        self._plans: Dict[int, Tuple[Any, ...]] = {}
+        # Two-access blocks index every latency pair by a 0..8 level code
+        # instead of building tuples in the hot loop.
+        l2_lat = self._l1d_hit_latency + hierarchy.l2.hit_latency
+        levels = (self._l1d_hit_latency, l2_lat, l2_lat + machine.memory_latency)
+        self._lat_pairs = tuple((a, b) for a in levels for b in levels)
 
     def reset_timing(self) -> None:
         """Clear all timing state (cycle counter, scoreboards, stalls).
@@ -267,77 +271,6 @@ class InOrderPipeline:
         self.cycle = cycle
         self._width_used = width_used
         self._fetch_ready = fetch_ready
-
-    def _build_plan(self, block: Any) -> Tuple[Any, ...]:
-        """Precompute the per-block constants of the batched path."""
-        from ..program.mem_patterns import PatternKind
-
-        patterns = [block.mem_patterns[j] for j in (block.mem_idx[p] for p in block.mem_positions)]
-        paw = tuple((pat.address, pat.is_write) for pat in patterns)
-        # Probe the most restrictive (largest-footprint) patterns first so
-        # a zero span is discovered before any fine-grained line walking.
-        probe_pats = tuple(sorted(patterns, key=lambda p: p.span, reverse=True))
-        l1d_size = self.hierarchy.l1d.config.size_bytes
-        never_silent = any(
-            pat.kind in (PatternKind.RANDOM, PatternKind.CHASE)
-            and pat.span > l1d_size
-            for pat in patterns
-        )
-        # Multi-pattern all-strided blocks take the joint net-silence
-        # probe, which also covers patterns that share cache sets
-        # (program-order tuple); the two-access case gets the unrolled
-        # pair walk; single-pattern blocks use the leaner per-pattern
-        # walks directly.
-        joint = pair = None
-        if len(patterns) > 1 and all(
-            pat.kind in (PatternKind.STREAM, PatternKind.REUSE) for pat in patterns
-        ):
-            progs = tuple(
-                (pat.base, pat.stride, pat.span, pat.is_write) for pat in patterns
-            )
-            if len(progs) == 2:
-                pair = progs
-            else:
-                joint = progs
-        # Every pattern's address generator is unpacked so the hot loop
-        # computes addresses inline instead of calling into it: strided
-        # patterns carry (True, base, stride, span, is_write), hashed ones
-        # (False, base, seed, span, is_write) — see MemPattern.address.
-        pinfo = tuple(
-            (True, pat.base, pat.stride, pat.span, pat.is_write)
-            if pat.kind in (PatternKind.STREAM, PatternKind.REUSE)
-            else (False, pat.base, pat.seed, pat.span, pat.is_write)
-            for pat in patterns
-        )
-        p0 = pinfo[0][:4] if len(patterns) == 1 else None
-        n_pat = len(patterns)
-        # Two-access blocks get every latency pair precomputed so the hot
-        # loop indexes by a 0..8 level code instead of building tuples.
-        if n_pat == 2:
-            l1 = self._l1d_hit_latency
-            l2 = l1 + self.hierarchy.l2.hit_latency
-            mem = l2 + self.machine.memory_latency
-            levels = (l1, l2, mem)
-            lat_pairs = tuple((a, b) for a in levels for b in levels)
-        else:
-            lat_pairs = None
-        return (
-            paw,
-            probe_pats,
-            joint,
-            pair,
-            pinfo,
-            lat_pairs,
-            p0,
-            (self._l1d_hit_latency,) * n_pat,
-            never_silent,
-            n_pat,
-            block.live_in_regs,
-            block.written_regs,
-            block.div_fus,
-            block.branch_address,
-            len(block.inst_lines),
-        )
 
     def _intern_context(
         self, bid: int, live_in: Tuple[int, ...], div_fus: Tuple[int, ...]
@@ -492,32 +425,32 @@ class InOrderPipeline:
         Byte-identical in every observable (cycle count, cache and
         predictor state including stats, memory-access counters) to
         :meth:`execute_event` over ``run.events()``, but built to spend
-        far fewer Python operations per block execution:
+        far fewer Python operations per block execution.  The
+        architectural side is the kernel functional warming runs too
+        (:meth:`FunctionalWarmer.execute_run`), through the same helpers:
 
-        * the first iteration performs the real I-fetch accesses (with
-          deferred counters) — afterwards every instruction line of the
-          block is resident at the MRU slot of its own L1I set and stays
-          there for the rest of the run (nothing else touches the L1I),
-          so later iterations fetch with zero stall and their I-cache hit
-          counters are applied arithmetically at the end.  When iteration
-          0 itself fetches entirely from the L1I (no stall), it enters
-          the memoized loop like any other iteration — a warm run can
-          then collapse into a single closed-form span;
-        * data accesses are probed for *silent* spans — stretches of
-          iterations whose accesses would all hit L1 at the MRU slot
-          without flipping a dirty bit.  Silent accesses change nothing
-          but the hit counters, so the whole span's cache work collapses
-          to one arithmetic bump and its latencies are known constants;
-        * once the uniformly-taken middle of a loop-controlled run finds
-          the branch predictor at a fixed point
-          (:meth:`~repro.branch.BranchPredictor.is_steady`), remaining
-          predictions are bulk-counted and skipped;
+        * the first iteration performs the real I-fetch accesses; they
+          pin the block's lines at MRU for the rest of the run, so later
+          iterations fetch with zero stall and count as arithmetic hits
+          (:meth:`~repro.memory.CacheHierarchy.fetch_run`).  When
+          iteration 0 itself fetches entirely from the L1I (no stall), it
+          enters the memoized loop like any other iteration — a warm run
+          can then collapse into a single closed-form span;
+        * data accesses are probed for *silent* spans with the block's
+          :class:`~repro.memory.AccessPlan` probe — stretches of
+          iterations whose accesses leave the caches byte-identical.  The
+          whole span's cache work collapses to one arithmetic bump and
+          its latencies are known constants;
+        * the branch side of the whole run is applied up front
+          (:meth:`~repro.branch.BranchPredictor.apply_run`, bulk over the
+          uniformly-taken middle); the timing walk only reads which
+          iterations mispredicted;
         * the scoreboard itself is memoized: the relative timing context
           is interned to an integer id and each (context, latencies,
           outcome) transition is recorded once, so repeats walk
           ``cycle += delta; context = next`` without touching the
           scoreboard arrays (absolute state is re-anchored on exit); a
-          self-loop transition inside a silent + predictor-steady span
+          self-loop transition inside a silent, correctly predicted span
           finishes the span in closed form.
 
         Any condition that cannot be proven cheaply falls back to the
@@ -529,46 +462,30 @@ class InOrderPipeline:
         if n == 1:
             self.execute_event(BlockEvent(block, run.taken_at(0), run.k_start))
             return
-        hierarchy = self.hierarchy
-        if len(block.inst_lines) > hierarchy.l1i.n_sets:
-            # Degenerate geometry: the block's own fetch lines collide
-            # within a set, so iteration 0 does not pin them all at MRU.
-            for event in run.events():
-                self.execute_event(event)
-            return
-
         if len(self._chain) >= _MEMO_CAP:
             self._chain.clear()
             self._ctx_ids.clear()
             self._ctx_states.clear()
             self._paths.clear()
 
+        hierarchy = self.hierarchy
+        access = hierarchy.access_plan(block)
+        if not access.pinned:
+            # Degenerate geometry: the block's own fetch lines collide
+            # within a set, so iteration 0 does not pin them all at MRU.
+            for event in run.events():
+                self.execute_event(event)
+            return
         bid = block.bid
-        plan = self._plans.get(bid)
-        if plan is None:
-            plan = self._build_plan(block)
-            self._plans[bid] = plan
-        (
-            paw,
-            probe_pats,
-            joint,
-            pair,
-            pinfo,
-            lat_pairs,
-            p0,
-            hit_lats,
-            never_silent,
-            n_pat,
-            live_in,
-            written,
-            div_fus,
-            branch_address,
-            n_lines,
-        ) = plan
+        live_in = block.live_in_regs
+        written = block.written_regs
+        div_fus = block.div_fus
+        lat_pairs = self._lat_pairs
+        pinfo = access.pinfo
+        n_pat = len(pinfo)
+        hit_lats = (self._l1d_hit_latency,) * n_pat
+        probe = access.probe
 
-        predictor = self.predictor
-        predict_update = predictor.predict_update
-        taken_streak = predictor.taken_streak
         l1d = hierarchy.l1d
         l1d_access = l1d.access_quiet
         l2_access = hierarchy.l2.access_quiet
@@ -576,27 +493,17 @@ class InOrderPipeline:
         l1_hit = self._l1d_hit_latency
         l2_lat = l1_hit + hierarchy.l2.hit_latency
         mem_lat = l2_lat + self.machine.memory_latency
-        silent_span = hierarchy.silent_data_span
-        joint_span = l1d.silent_block_span
-        pair_span = l1d.silent_block_pair_span
-        span_strided = l1d.silent_span_strided
-        span_hashed = l1d.silent_span_hashed
-        if pair is not None:
-            pr1, pr2 = pair
         chain = self._chain
         chain_get = chain.get
         paths = self._paths
         paths_get = paths.get
         reg_ready = self._reg_ready
-        if n_pat == 1:
-            f0, w0 = paw[0]
+        single = n_pat == 1
+        pair2 = n_pat == 2
+        if single:
+            strided0, b0, x0, sp0, w0 = pinfo[0]
             l2_lats = (l2_lat,)
             mem_lats = (mem_lat,)
-            strided0, b0, x0, sp0 = p0
-        else:
-            f0 = None
-        single = f0 is not None
-        pair2 = n_pat == 2
         if single or pair2:
             # One- and two-access blocks run the access_quiet state
             # transition inline (see Cache.hot_refs) — the L1D-miss/L2
@@ -610,13 +517,6 @@ class InOrderPipeline:
         int_keys = single or pair2  # integer chain keys for these blocks
         d_wb = u_wb = 0  # deferred writeback counts from inlined accesses
 
-        takens = run.takens
-        last_i = n - 1
-        if takens is None:
-            uniform_until = last_i - 1 if run.ends_entry else last_i
-        else:
-            uniform_until = -1
-
         # Completed misses from earlier runs would otherwise linger in the
         # heap and tax every context build; draining them is invisible
         # (the scalar path drains lazily, to the same effect).
@@ -625,43 +525,36 @@ class InOrderPipeline:
         while mshrs and mshrs[0] <= c0:
             heappop(mshrs)
 
+        # Branch side, whole run up front: predictor state never reads the
+        # clock or the caches.  Iterations before `nm` (the next
+        # mispredicted one; `n` once none is left) predict correctly.
+        misses = self.predictor.apply_run(
+            block.branch_address, n, run.ends_entry, run.takens
+        )
+        misses.append(n)
+        mi = 0
+        nm = misses[0]
+
         pending = None  # written-reg offsets of the last walked transition
         mem_extra = 0  # deferred hierarchy.memory_accesses increments
         l1d_n = l1d_h = l2_n = l2_h = 0  # deferred cache access/hit counts
-        pred_left = 0  # taken predictions already applied in bulk
         silent_left = 0
         probe_skip = False  # span ended at a known non-silent iteration
         span_hint = -1  # probe-free silent span proven by a line fill
         line_mask = (1 << d_shift) - 1 if single else 0
+        last_i = n - 1
 
-        # Iteration 0's I-fetch is always real — the accesses pin every
-        # instruction line at the MRU slot of its L1I set for the rest of
-        # the run (and their MRU rotations are observable state).
-        l1i_access = hierarchy.l1i.access_quiet
-        l2_hit_extra = hierarchy.l2.hit_latency
-        memory_latency = self.machine.memory_latency
-        fetch_stall = 0
-        l1i_h0 = 0
-        for line in block.inst_lines:
-            a = line ^ salt
-            if l1i_access(a):
-                l1i_h0 += 1
-            else:
-                l2_n += 1
-                if l2_access(a):
-                    l2_h += 1
-                    fetch_stall += l2_hit_extra
-                else:
-                    mem_extra += 1
-                    fetch_stall += l2_hit_extra + memory_latency
-
+        # Iteration 0's I-fetch is always real; it pins the block's lines
+        # for the rest of the run (see CacheHierarchy.fetch_run).
+        fetch_stall = hierarchy.fetch_run(block.inst_lines, n)
         if fetch_stall:
             # Rare cold fetch: run iteration 0 through the real scoreboard
             # (the memo chain assumes stall-free fetch) and rejoin at 1.
             k = run.k_start
             buf = []
-            for f, w in paw:
-                a = f(k) ^ salt
+            for pat in access.patterns:
+                a = pat.address(k) ^ salt
+                w = pat.is_write
                 l1d_n += 1
                 if l1d_access(a, w):
                     l1d_h += 1
@@ -674,7 +567,10 @@ class InOrderPipeline:
                     else:
                         mem_extra += 1
                         buf.append(mem_lat)
-            correct = predict_update(branch_address, run.taken_at(0))
+            correct = nm != 0
+            if not correct:
+                mi = 1
+                nm = misses[1]
             self._issue_timing(block, buf, fetch_stall, correct)
             i = 1
             k += 1
@@ -685,14 +581,14 @@ class InOrderPipeline:
         sid = self._intern_context(bid, live_in, div_fus)
         cycle = self.cycle  # local through the loop; synced around calls
         while i <= last_i:
-            if never_silent and single and pred_left > 0:
+            if probe is None and single and i < nm:
                 # Never-silent single-access blocks (a cache-thrashing
-                # loop) spend the uniformly-predicted middle of the run
+                # loop) spend each correctly predicted stretch of the run
                 # here: address, inline access, memoized timing step —
                 # none of the span/branch bookkeeping of the general
                 # path, which cannot apply to them.  The access body is
                 # the same inline access_quiet transition as below.
-                stop = i + pred_left
+                stop = nm
                 if d_assoc == 4:
                     # 4-way L1D (the default geometry): the recency
                     # rotation is unrolled into element moves — no range
@@ -881,12 +777,10 @@ class InOrderPipeline:
                         pending = t[2]
                         i += 1
                         k += 1
-                pred_left = stop - i
                 if i < stop:
                     # Unmemoized transition: finish this iteration through
                     # the real scoreboard and record it for next time.
                     lats = (hit_lats, l2_lats, mem_lats)[code]
-                    pred_left -= 1
                     self.cycle = cycle
                     if pending is not None:
                         self._materialize(sid, pending, live_in, written, div_fus)
@@ -918,28 +812,15 @@ class InOrderPipeline:
                 silent_left -= 1
             else:
                 lats = None
-                if never_silent or probe_skip:
+                if probe is None or probe_skip:
                     probe_skip = False
                 else:
                     lim = last_i - i + 1
                     if span_hint >= 0:
                         m = span_hint if span_hint < lim else lim
                         span_hint = -1
-                    elif single:
-                        if strided0:
-                            m = span_strided(b0, x0, sp0, k, lim, w0, salt)
-                        else:
-                            m = span_hashed(f0, k, lim, w0, salt)
-                    elif pair is not None:
-                        m = pair_span(pr1, pr2, k, lim, salt)
-                    elif joint is not None:
-                        m = joint_span(joint, k, lim, salt)
                     else:
-                        m = lim
-                        for pat in probe_pats:
-                            m = silent_span(pat, k, m)
-                            if m == 0:
-                                break
+                        m = probe(k, lim)
                     if m > 0:
                         l1d_n += m * n_pat
                         l1d_h += m * n_pat
@@ -947,20 +828,12 @@ class InOrderPipeline:
                         # provably non-silent iteration — skip re-probing
                         # it and go straight to the real accesses.
                         probe_skip = m < lim
-                        if m > 1 and takens is None and i <= uniform_until:
-                            # Whole-span fast-forward: bulk-predict as much
-                            # of the span as the predictor stays quiet for,
-                            # then apply the precomputed chain unroll from
-                            # this context in closed form.
-                            cover = pred_left
-                            if cover < m:
-                                # Ask for the whole remaining uniform
-                                # stretch at once — the surplus carries to
-                                # the next span via pred_left, so a steady
-                                # predictor is consulted once per run.
-                                want = uniform_until - i + 1 - cover
-                                if want > 0:
-                                    cover += taken_streak(branch_address, want)
+                        if m > 1 and i < nm:
+                            # Whole-span fast-forward: as much of the span
+                            # as is correctly predicted applies the
+                            # precomputed chain unroll from this context
+                            # in closed form.
+                            cover = nm - i
                             mm = m if m < cover else cover
                             if mm > 1:
                                 path = paths_get(sid)
@@ -994,14 +867,10 @@ class InOrderPipeline:
                                     pending = pwrels[
                                         (mm if mm < last else last) - 1
                                     ]
-                                    pred_left = cover - mm
                                     silent_left = m - mm
                                     i += mm
                                     k += mm
                                     continue
-                            # Streak already applied; the per-iteration
-                            # branch side below consumes it via pred_left.
-                            pred_left = cover
                         lats = hit_lats
                         code = 0
                         silent_left = m - 1
@@ -1216,22 +1085,13 @@ class InOrderPipeline:
                                     buf.append(mem_lat)
                         lats = tuple(buf)
 
-            # Branch side: the uniformly-taken middle is applied through
-            # the predictor's bulk fast path — every bulk-applied step is
-            # byte-identical to a real predict_update(addr, True).
-            if pred_left > 0:
+            # Branch side: already applied; read this iteration's outcome.
+            if i < nm:
                 correct = True
-                pred_left -= 1
-            elif takens is None and i <= uniform_until:
-                streak = taken_streak(branch_address, uniform_until - i + 1)
-                if streak:
-                    pred_left = streak - 1
-                    correct = True
-                else:
-                    correct = predict_update(branch_address, True)
             else:
-                taken = i <= uniform_until if takens is None else takens[i]
-                correct = predict_update(branch_address, taken)
+                correct = False
+                mi += 1
+                nm = misses[mi]
 
             # Timing side: walk the memoized transition if known.
             if int_keys:
@@ -1243,14 +1103,15 @@ class InOrderPipeline:
                 cycle += t[0]
                 nsid = t[1]
                 pending = t[2]
-                if nsid == sid and silent_left > 0 and pred_left > 0:
+                if nsid == sid and silent_left > 0 and correct and nm - i > 1:
                     # Fixed point with constant inputs: every further
-                    # iteration of the silent + predictor-bulk span
+                    # iteration of the silent, correctly predicted span
                     # repeats this transition.  Apply it in closed form.
-                    mm = silent_left if silent_left < pred_left else pred_left
+                    mm = nm - i - 1
+                    if silent_left < mm:
+                        mm = silent_left
                     cycle += mm * t[0]
                     silent_left -= mm
-                    pred_left -= mm
                     i += mm
                     k += mm
                 sid = nsid
@@ -1294,12 +1155,6 @@ class InOrderPipeline:
             l2_stats.hits += l2_h
         if u_wb:
             hierarchy.l2.stats.writebacks += u_wb
-        # Iteration 0 fetched for real (hits counted above); iterations
-        # 1..n-1 fetched every instruction line from warm, MRU-resident
-        # L1I sets: pure hits, applied arithmetically.
-        l1i_stats = hierarchy.l1i.stats
-        l1i_stats.accesses += n * n_lines
-        l1i_stats.hits += last_i * n_lines + l1i_h0
 
     def run_window(self, events: List[BlockEvent]) -> WindowResult:
         """Execute a list of events and report ops/cycles for the window."""

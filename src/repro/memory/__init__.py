@@ -5,6 +5,6 @@ first-level instruction and data caches backed by a unified 1 MB L2.
 """
 
 from .cache import Cache, CacheStats
-from .hierarchy import AccessResult, CacheHierarchy
+from .hierarchy import AccessPlan, AccessResult, CacheHierarchy
 
-__all__ = ["Cache", "CacheStats", "AccessResult", "CacheHierarchy"]
+__all__ = ["Cache", "CacheStats", "AccessPlan", "AccessResult", "CacheHierarchy"]

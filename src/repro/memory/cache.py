@@ -161,10 +161,10 @@ class Cache:
         """Internal-state references for callers that inline the access path.
 
         Returns ``(tags, dirty, line_shift, assoc, pow2_sets, set_mask,
-        n_sets)``.  The batched pipeline binds these as locals and runs the
-        :meth:`access_quiet` state transition inline in its hot loop —
-        the lists are the live storage, so inlined transitions and method
-        calls remain interchangeable at every point.
+        n_sets)``.  The batched pipeline and functional warming bind these
+        as locals and run the :meth:`access_quiet` state transition inline
+        in their hot loops — the lists are the live storage, so inlined
+        transitions and method calls remain interchangeable at every point.
         """
         return (
             self._tags,
@@ -176,21 +176,6 @@ class Cache:
             self._n_sets,
         )
 
-    def is_silent_hit(self, addr: int, is_write: bool = False) -> bool:
-        """Would :meth:`access` hit *without changing any state*?
-
-        True exactly when the line is resident at the MRU position of its
-        set (so no reorder happens) and, for writes, is already dirty (so
-        no dirty bit flips).  A silent access changes nothing but the
-        hit/access counters — the steadiness probe behind the detailed
-        pipeline's closed-form fast path.
-        """
-        line = addr >> self._line_shift
-        base = self._set_index(line) * self._assoc
-        if self._tags[base] != line:
-            return False
-        return not is_write or self._dirty[base]
-
     def silent_span_strided(
         self,
         base: int,
@@ -201,13 +186,16 @@ class Cache:
         is_write: bool,
         salt: int = 0,
     ) -> int:
-        """Silent-hit span of a strided pattern (see :meth:`is_silent_hit`).
+        """Silent-hit span of a strided pattern.
 
-        Returns the largest ``m <= limit`` such that accesses at
-        ``base + (k * stride) % span`` for ``k in [k_start, k_start + m)``
-        would all be silent hits.  Consecutive executions sharing a cache
-        line are vouched for together, so the walk is per line-group, not
-        per execution.  The tag checks are inlined — this runs inside the
+        An access is a *silent hit* when its line is resident at the MRU
+        position of its set (so no reorder happens) and, for writes, is
+        already dirty (so no dirty bit flips): it changes nothing but the
+        hit/access counters.  Returns the largest ``m <= limit`` such that
+        accesses at ``base + (k * stride) % span`` for
+        ``k in [k_start, k_start + m)`` would all be silent hits.
+        Consecutive executions sharing a cache line are vouched for
+        together, so the walk is per line-group, not per execution.  The tag checks are inlined — this runs inside the
         batched pipeline's hot loop.
         """
         tags = self._tags

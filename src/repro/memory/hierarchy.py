@@ -8,16 +8,26 @@ and an L2 miss additionally pays the memory latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..config import MachineConfig
 from ..program.mem_patterns import PatternKind
 from .cache import Cache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..program.block import BasicBlock
     from ..program.mem_patterns import MemPattern
 
-__all__ = ["AccessResult", "CacheHierarchy"]
+__all__ = ["AccessPlan", "AccessResult", "CacheHierarchy"]
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,35 @@ class AccessResult:
 
     latency: int
     level: int
+
+
+class AccessPlan(NamedTuple):
+    """One block's memory side, prepared for whole-run execution.
+
+    Built once per block by :meth:`CacheHierarchy.access_plan` and shared
+    by every batched consumer (the detailed pipeline and functional
+    warming), so both walk the same accesses in the same order and prove
+    silence the same way.
+
+    Attributes:
+        patterns: the block's memory patterns in program order.
+        pinfo: per pattern, its address generator unpacked for inline
+            evaluation — ``(True, base, stride, span, is_write)`` for
+            strided patterns, ``(False, base, seed, span, is_write)`` for
+            hashed ones (see :meth:`MemPattern.address`).
+        probe: ``probe(k_start, limit)`` returns how many consecutive
+            executions from *k_start* (at most *limit*) are net-silent on
+            the data side against the current cache state.  ``None`` for
+            a never-silent block: some hashed pattern's footprint exceeds
+            the L1D, so no iteration can be proven silent.
+        pinned: the block's fetch lines fall in distinct L1I sets, so
+            :meth:`CacheHierarchy.fetch_run` applies.
+    """
+
+    patterns: Tuple["MemPattern", ...]
+    pinfo: Tuple[Tuple[bool, int, int, int, bool], ...]
+    probe: Optional[Callable[[int, int], int]]
+    pinned: bool
 
 
 class CacheHierarchy:
@@ -72,6 +111,7 @@ class CacheHierarchy:
         self.l2 = shared_l2 if shared_l2 is not None else Cache(machine.l2, "L2")
         self.memory_accesses = 0
         self._salt = address_salt
+        self._plans: Dict["BasicBlock", AccessPlan] = {}
 
     @property
     def address_salt(self) -> int:
@@ -124,51 +164,159 @@ class CacheHierarchy:
             return AccessResult(lat, 2)
         return AccessResult(lat, 3)
 
-    def data_silent_hit(self, addr: int, is_write: bool = False) -> bool:
-        """Would a data access at *addr* be an L1 hit with no state change?
+    def silent_data_span(
+        self, patterns: Sequence["MemPattern"], k_start: int, limit: int
+    ) -> int:
+        """How many consecutive executions of *patterns* stay silent?
 
-        A silent L1 hit never reaches the L2, so it is the condition under
-        which a data access leaves the entire hierarchy byte-identical
-        (counters aside) — see :meth:`Cache.is_silent_hit`.
+        Returns the largest ``m <= limit`` such that every pattern's
+        accesses for ``k in [k_start, k_start + m)`` would be silent L1
+        hits (see :meth:`Cache.silent_span_strided`) against the
+        *current* data-cache state.  A silent L1 hit never reaches the
+        L2, so it leaves the whole hierarchy byte-identical, counters
+        aside, and the answer is valid for the whole span at once.
+        Patterns silent one by one are silent together (lines sharing a
+        set cannot all rest at MRU), so each is probed on its own and
+        the span shrinks as it goes: pass the most restrictive first.
+
+        Strided patterns are probed one cache line at a time; hashed
+        patterns per execution, after a fast rejection when their
+        footprint cannot possibly be L1-resident.
         """
-        return self.l1d.is_silent_hit(addr ^ self._salt, is_write)
-
-    def silent_data_span(self, pattern: "MemPattern", k_start: int, limit: int) -> int:
-        """How many consecutive executions of *pattern* stay silent?
-
-        Returns the largest ``m <= limit`` such that the accesses for
-        ``k in [k_start, k_start + m)`` would all be silent L1 hits
-        (:meth:`data_silent_hit`) against the *current* data-cache state.
-        Because silent accesses change no state, the answer is valid for
-        the whole span at once — the memory-side steadiness probe of the
-        detailed pipeline's closed-form fast path.
-
-        Strided patterns are probed one cache line at a time (consecutive
-        executions sharing a line are vouched for together); hashed
-        patterns are probed per execution, after a fast rejection when
-        their footprint cannot possibly be L1-resident.
-        """
-        if limit <= 0:
-            return 0
-        kind = pattern.kind
         l1d = self.l1d
-        if kind is PatternKind.STREAM or kind is PatternKind.REUSE:
-            return l1d.silent_span_strided(
-                pattern.base,
-                pattern.stride,
-                pattern.span,
-                k_start,
-                limit,
-                pattern.is_write,
-                self._salt,
-            )
-        # RANDOM / CHASE: scattered addresses.  A footprint larger than the
-        # L1 cannot be fully resident, so the span is zero without probing.
-        if pattern.span > l1d.config.size_bytes:
-            return 0
-        return l1d.silent_span_hashed(
-            pattern.address, k_start, limit, pattern.is_write, self._salt
+        salt = self._salt
+        m = limit
+        for pat in patterns:
+            if m <= 0:
+                return 0
+            if pat.kind is PatternKind.STREAM or pat.kind is PatternKind.REUSE:
+                m = l1d.silent_span_strided(
+                    pat.base, pat.stride, pat.span, k_start, m, pat.is_write, salt
+                )
+            elif pat.span > l1d.config.size_bytes:
+                return 0
+            else:
+                m = l1d.silent_span_hashed(pat.address, k_start, m, pat.is_write, salt)
+        return m
+
+    def access_plan(self, block: "BasicBlock") -> AccessPlan:
+        """The block's :class:`AccessPlan`, built on first use."""
+        plan = self._plans.get(block)
+        if plan is None:
+            plan = self._build_plan(block)
+            self._plans[block] = plan
+        return plan
+
+    def _build_plan(self, block: "BasicBlock") -> AccessPlan:
+        # BasicBlock guarantees mem_index runs 0..n-1 in program order.
+        patterns = tuple(block.mem_patterns)
+        strided = tuple(
+            pat.kind in (PatternKind.STREAM, PatternKind.REUSE) for pat in patterns
         )
+        pinfo = tuple(
+            (True, pat.base, pat.stride, pat.span, pat.is_write)
+            if st
+            else (False, pat.base, pat.seed, pat.span, pat.is_write)
+            for pat, st in zip(patterns, strided)
+        )
+        l1d_bytes = self.l1d.config.size_bytes
+        never_silent = any(
+            not st and pat.span > l1d_bytes for pat, st in zip(patterns, strided)
+        )
+        return AccessPlan(
+            patterns,
+            pinfo,
+            None if never_silent else self._silent_probe(patterns, strided),
+            len(block.inst_lines) <= self.l1i.n_sets,
+        )
+
+    def _silent_probe(
+        self, patterns: Tuple["MemPattern", ...], strided: Tuple[bool, ...]
+    ) -> Callable[[int, int], int]:
+        """Pick a block's silent-span probe once.
+
+        Single-pattern blocks use the lean per-pattern walks; all-strided
+        pairs the unrolled joint walk; other all-strided blocks the joint
+        net-silence walk (which also covers patterns sharing cache sets);
+        anything else probes the patterns one by one, largest first.
+        Closures rather than keyword ``functools.partial`` objects, which
+        cost twice the call: a probe runs per non-silent iteration.
+        """
+        l1d = self.l1d
+        salt = self._salt
+        if len(patterns) == 1:
+            pat = patterns[0]
+            w = pat.is_write
+            if strided[0]:
+                span_strided = l1d.silent_span_strided
+                base, stride, span = pat.base, pat.stride, pat.span
+
+                def strided_probe(k: int, limit: int) -> int:
+                    return span_strided(base, stride, span, k, limit, w, salt)
+
+                return strided_probe
+            span_hashed = l1d.silent_span_hashed
+            address = pat.address
+
+            def hashed_probe(k: int, limit: int) -> int:
+                return span_hashed(address, k, limit, w, salt)
+
+            return hashed_probe
+        if patterns and all(strided):
+            progs = tuple((p.base, p.stride, p.span, p.is_write) for p in patterns)
+            if len(progs) == 2:
+                pair_span = l1d.silent_block_pair_span
+                p1, p2 = progs
+
+                def pair_probe(k: int, limit: int) -> int:
+                    return pair_span(p1, p2, k, limit, salt)
+
+                return pair_probe
+            block_span = l1d.silent_block_span
+
+            def joint_probe(k: int, limit: int) -> int:
+                return block_span(progs, k, limit, salt)
+
+            return joint_probe
+        by_size = tuple(sorted(patterns, key=lambda p: p.span, reverse=True))
+        data_span = self.silent_data_span
+
+        def pattern_probe(k: int, limit: int) -> int:
+            return data_span(by_size, k, limit)
+
+        return pattern_probe
+
+    def fetch_run(self, lines: Sequence[int], n: int) -> int:
+        """Fetch a block's instruction *lines* for *n* back-to-back
+        executions; return the first execution's stall cycles beyond the
+        L1I hit time.
+
+        Only the first execution accesses for real.  It leaves every line
+        at the MRU slot of its own L1I set (the plan's *pinned* condition)
+        and nothing else touches the L1I during a run, so executions
+        1..n-1 are pure hits whose counters are applied arithmetically.
+        """
+        l1i = self.l1i
+        l1i_access = l1i.access_quiet
+        l2 = self.l2
+        l2_access = l2.access
+        l2_hit = l2.hit_latency
+        salt = self._salt
+        stall = hits = 0
+        for line in lines:
+            a = line ^ salt
+            if l1i_access(a):
+                hits += 1
+            elif l2_access(a):
+                stall += l2_hit
+            else:
+                self.memory_accesses += 1
+                stall += l2_hit + self.machine.memory_latency
+        n_lines = len(lines)
+        stats = l1i.stats
+        stats.accesses += n * n_lines
+        stats.hits += (n - 1) * n_lines + hits
+        return stall
 
     def warm_data(self, addr: int, is_write: bool = False) -> None:
         """Touch the data side without caring about latency (warming mode)."""

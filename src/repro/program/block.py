@@ -60,17 +60,20 @@ class BasicBlock:
             raise ProgramError("a basic block must end in a BRANCH")
         if any(i.op is Op.BRANCH for i in instructions[:-1]):
             raise ProgramError("only the terminator may be a BRANCH")
-        n_mem = sum(1 for i in instructions if i.mem_index is not None)
-        if n_mem != len(mem_patterns):
+        mem_order = [i.mem_index for i in instructions if i.mem_index is not None]
+        if len(mem_order) != len(mem_patterns):
             raise ProgramError(
-                f"block has {n_mem} memory instructions but "
+                f"block has {len(mem_order)} memory instructions but "
                 f"{len(mem_patterns)} patterns"
             )
-        for inst in instructions:
-            if inst.mem_index is not None and not (
-                0 <= inst.mem_index < len(mem_patterns)
-            ):
-                raise ProgramError("mem_index out of range")
+        # One access order for every mode: pattern j is the j-th memory
+        # instruction, so walking mem_patterns in index order is walking
+        # the block's accesses in program order.
+        if mem_order != list(range(len(mem_order))):
+            raise ProgramError(
+                f"memory instructions must use mem_index 0..{len(mem_order) - 1} "
+                f"in program order, got {mem_order}"
+            )
         if random_taken_prob is not None and not 0.0 <= random_taken_prob <= 1.0:
             raise ProgramError("random_taken_prob must be in [0, 1]")
 

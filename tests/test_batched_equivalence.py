@@ -14,6 +14,10 @@ checked here three ways:
   engine in equal snapshot states after every call;
 * technique level: PGSS end-to-end produces an identical
   ``SamplingResult`` on three workloads either way.
+
+The functional-warming kernel (silent spans, pinned fetch, bulk branch
+runs) is additionally checked whole-program on every workload, and the
+detailed pipeline through its transition-memo clear path.
 """
 
 import random
@@ -22,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cpu.pipeline
 from repro import (
     BbvTracker,
     Mode,
@@ -30,6 +35,7 @@ from repro import (
     SimulationEngine,
     get_workload,
 )
+from repro.program.workloads import ADVERSARIAL_NAMES, WORKLOAD_NAMES
 from repro.sampling.pgss import Pgss, PgssConfig
 from conftest import make_two_phase_program
 
@@ -40,6 +46,23 @@ def _workload(name):
     if name == "two_phase":
         return make_two_phase_program()
     return get_workload(name, Scale.QUICK)
+
+
+def _machine_state(engine):
+    """Every architectural observable plus the pipeline clock: cache
+    tags, dirty bits and counters, memory accesses, predictor tables,
+    history and stats."""
+    h = engine.hierarchy
+    caches = (h.l1i, h.l1d, h.l2)
+    p = engine.predictor
+    return (
+        h.snapshot(),
+        [(c.stats.accesses, c.stats.hits, c.stats.writebacks) for c in caches],
+        h.memory_accesses,
+        p.snapshot(),
+        (p.stats.predictions, p.stats.mispredictions),
+        engine.pipeline.cycle,
+    )
 
 
 class TestStreamEquivalence:
@@ -183,6 +206,48 @@ class TestEngineEquivalence:
         warm.run(Mode.FUNC_WARM, 30_000)
         assert detail.hierarchy.snapshot() == warm.hierarchy.snapshot()
         assert detail.predictor.snapshot() == warm.predictor.snapshot()
+
+
+class TestFuncWarmEveryWorkload:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES + ADVERSARIAL_NAMES)
+    def test_func_warm_whole_program_identical(self, name):
+        """Batched FUNC_WARM equals the scalar warmer on every workload,
+        memory-bound and adversarial included, with short DETAIL windows
+        in between so the warmer starts from pipeline-left state."""
+        program = _workload(name)
+        scalar = SimulationEngine(program, batched=False)
+        batched = SimulationEngine(program, batched=True)
+        while not scalar.exhausted:
+            for mode, n_ops in ((Mode.FUNC_WARM, 40_000), (Mode.DETAIL, 2_000)):
+                r1 = scalar.run(mode, n_ops)
+                r2 = batched.run(mode, n_ops)
+                assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
+                assert _machine_state(scalar) == _machine_state(batched)
+        assert batched.exhausted
+
+
+class TestMemoCapClear:
+    def test_detail_identical_across_memo_clears(self, monkeypatch):
+        """A tiny transition-memo cap forces the clear path at nearly
+        every run start; DETAIL must stay byte-identical to scalar."""
+        monkeypatch.setattr(repro.cpu.pipeline, "_MEMO_CAP", 4)
+        clears = []
+
+        class CountingDict(dict):
+            def clear(self):
+                clears.append(len(self))
+                super().clear()
+
+        program = _workload("164.gzip")
+        scalar = SimulationEngine(program, batched=False)
+        batched = SimulationEngine(program, batched=True)
+        batched.pipeline._chain = CountingDict()
+        for mode, n_ops in ((Mode.DETAIL, 60_000), (Mode.FUNC_WARM, 20_000)) * 2:
+            r1 = scalar.run(mode, n_ops)
+            r2 = batched.run(mode, n_ops)
+            assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
+            assert _machine_state(scalar) == _machine_state(batched)
+        assert len(clears) > 10
 
 
 class TestPgssEquivalence:

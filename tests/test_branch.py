@@ -187,3 +187,40 @@ class TestBulkFastPaths:
     def test_streak_stops_before_unsaturated_entry(self, predictor):
         # Fresh table: weak-taken counters would move, so no bulk steps.
         assert predictor.taken_streak(0x1000, 100) == 0
+
+    @pytest.mark.parametrize(
+        "n, ends_entry",
+        ((1, True), (1, False), (9, True), (300, True), (300, False)),
+    )
+    def test_apply_run_matches_sequential_updates(self, predictor, n, ends_entry):
+        """A loop run's outcomes (taken, with a final not-taken on loop
+        exit) applied in bulk equal the one-by-one updates, misses
+        included — across repeated exits and gshare history refills."""
+        self._train(predictor)
+        reference = self._clone(predictor)
+        predictor.stats.reset()
+        for _ in range(3):
+            misses = predictor.apply_run(0x104C, n, ends_entry)
+            want = [
+                i
+                for i in range(n)
+                if not reference.predict_update(0x104C, i < n - 1 or not ends_entry)
+            ]
+            assert misses == want
+            assert predictor.snapshot() == reference.snapshot()
+            assert (predictor.stats.predictions, predictor.stats.mispredictions) == (
+                reference.stats.predictions,
+                reference.stats.mispredictions,
+            )
+
+    def test_apply_run_replays_takens_verbatim(self, predictor):
+        rng = random.Random(11)
+        reference = self._clone(predictor)
+        takens = tuple(rng.random() < 0.6 for _ in range(200))
+        misses = predictor.apply_run(0x2020, len(takens), False, takens)
+        want = [
+            i for i, t in enumerate(takens) if not reference.predict_update(0x2020, t)
+        ]
+        assert misses == want
+        assert predictor.snapshot() == reference.snapshot()
+        assert predictor.stats.mispredictions == reference.stats.mispredictions

@@ -188,3 +188,20 @@ class TestSweepFigures:
         assert rates["detail"] > 0
         # BBV overhead must be small on the detailed modes (paper: ~1%).
         assert rates["detail+bbv"] > 0.7 * rates["detail"]
+
+    @pytest.mark.parametrize(
+        "ratio, phrase",
+        ((2.5, "2.5x faster than detail"), (0.4, "2.5x slower than detail")),
+    )
+    def test_fig13_header_states_mode_ordering(self, ratio, phrase):
+        modes = ("func_fast", "func_fast_scalar", "func_warm", "detail_warm", "detail")
+        rates = {m + bbv: 1e6 for m in modes for bbv in ("", "+bbv")}
+        result = {
+            "rates": rates,
+            "times": {},
+            "totals": {},
+            "ff_vs_detail_ratio": ratio,
+            "bbv_overhead_detail": 0.0,
+            "pgss_detail_seconds": 0.0,
+        }
+        assert phrase in fig13.format_result(result)

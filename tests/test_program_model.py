@@ -100,6 +100,41 @@ class TestBasicBlock:
         with pytest.raises(ProgramError):
             BasicBlock(0, 0x1000, insts, mem_patterns=[])
 
+    @staticmethod
+    def _mem_block(mem_indices):
+        """A block with one LOAD per entry of *mem_indices*, in that
+        program order, and one pattern per LOAD."""
+        insts = [
+            Instruction(Op.LOAD, dst=1, src1=2, mem_index=j) for j in mem_indices
+        ] + [Instruction(Op.BRANCH, src1=1)]
+        pats = [
+            MemPattern(PatternKind.STREAM, base=(j + 1) << 20, span=4096)
+            for j in range(len(mem_indices))
+        ]
+        return BasicBlock(0, 0x1000, insts, pats)
+
+    def test_mem_index_in_program_order_accepted(self):
+        block = self._mem_block([0, 1, 2])
+        assert [block.mem_idx[p] for p in block.mem_positions] == [0, 1, 2]
+
+    def test_rejects_duplicate_mem_index(self):
+        # Two LOADs sharing pattern 0 would leave pattern 1 untouched by
+        # the detailed pipeline but walked by functional warming.
+        with pytest.raises(ProgramError, match="program order"):
+            self._mem_block([0, 0])
+
+    def test_rejects_out_of_order_mem_index(self):
+        with pytest.raises(ProgramError, match="program order"):
+            self._mem_block([1, 0])
+
+    def test_rejects_gapped_mem_index(self):
+        with pytest.raises(ProgramError, match="program order"):
+            self._mem_block([0, 2])
+
+    def test_rejects_negative_mem_index(self):
+        with pytest.raises(ProgramError, match="program order"):
+            self._mem_block([-1])
+
     def test_branch_address(self):
         insts = [
             Instruction(Op.IALU, dst=1, src1=2),
