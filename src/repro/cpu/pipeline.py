@@ -21,16 +21,18 @@ Two execution entry points share one timing core (:meth:`_issue_timing`):
 * :meth:`execute_event` — the scalar reference path, one dynamic block at
   a time;
 * :meth:`execute_run` — the batched path over run-length
-  :class:`~repro.program.stream.BlockRun` records.  It splits every block
-  execution into an *architectural phase* (cache accesses, predictor
-  update — none of which read the clock) and a *timing phase* (the
-  scoreboard — a pure function of the architectural outcomes and the
-  time-like state expressed relative to the current cycle).  Relative
-  timing contexts are interned to small integer ids and the timing
-  transition for (context, latencies, prediction outcome) is memoized,
-  so repeated block executions walk an integer chain instead of running
-  the scoreboard; steady spans collapse further into closed form (see
-  DESIGN.md §15).
+  :class:`~repro.program.stream.BlockRun` records.  It first applies the
+  run's *architectural* side — fetch, data accesses, predictor updates,
+  none of which read the clock — through the same memory- and
+  branch-layer calls functional warming makes, and keeps only their
+  outcomes: the first iteration's fetch stall, the iterations that
+  missed the L1D, the mispredicted ones.  The *timing* side is then a
+  walk over those outcomes.  Relative timing contexts are interned to
+  small integer ids and the transition for (context, level code,
+  prediction outcome) is memoized, so repeated block executions walk an
+  integer chain instead of running the scoreboard; stretches of L1 hits
+  predicted correctly collapse further into closed form (see DESIGN.md
+  §15).  The pipeline touches no cache storage itself.
 
 Both paths leave every observable byte identical: cycle counts, cache
 tag/dirty/stat state, predictor tables and stats, and op accounting.
@@ -118,19 +120,15 @@ class InOrderPipeline:
         # Batched-path memoization (see execute_run).  Relative timing
         # contexts are interned: _ctx_ids maps the full context tuple to a
         # small id, _ctx_states holds the tuple for materialization, and
-        # _chain maps (context id, latencies, prediction outcome) to the
-        # scoreboard transition it produces.  All of it is expressed
-        # relative to the current cycle, so entries stay valid across
-        # windows, timing resets and checkpoint restores.
+        # _chain maps (context id, level code, prediction outcome) — one
+        # int, or a tuple for codes too wide for it — to the scoreboard
+        # transition it produces.  All of it is expressed relative to the
+        # current cycle, so entries stay valid across windows, timing
+        # resets and checkpoint restores.
         self._ctx_ids: Dict[Tuple[Any, ...], int] = {}
         self._ctx_states: List[Tuple[Any, ...]] = []
-        self._chain: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        self._chain: Dict[Any, Tuple[Any, ...]] = {}
         self._paths: Dict[int, Any] = {}
-        # Two-access blocks index every latency pair by a 0..8 level code
-        # instead of building tuples in the hot loop.
-        l2_lat = self._l1d_hit_latency + hierarchy.l2.hit_latency
-        levels = (self._l1d_hit_latency, l2_lat, l2_lat + machine.memory_latency)
-        self._lat_pairs = tuple((a, b) for a in levels for b in levels)
 
     def reset_timing(self) -> None:
         """Clear all timing state (cycle counter, scoreboards, stalls).
@@ -356,29 +354,27 @@ class InOrderPipeline:
         # before the current cycle were drained lazily anyway.
         self._mshrs = [cycle + t for t in st[8]]
 
-    def _build_path(
-        self, sid0: int, hit_lats: Tuple[int, ...], need: int, int_keys: bool
-    ) -> Any:
+    def _build_path(self, sid0: int, need: int) -> Any:
         """Unroll the memoized transition chain from *sid0* under constant
-        steady-span inputs (all-hit latencies, correct taken prediction).
+        all-hit inputs (every access an L1 hit, branch predicted).
 
         After an L1 miss the live-in register offsets decay over a dozen
-        iterations before the context repeats — without this, every silent
-        span walks that decay one chain hit at a time.  The returned path
-        ``(cums, sids, wrels, loop_d, complete)`` lets a span apply in
-        O(1): ``cums[j]`` is the cycle delta after j steps, ``sids[j]``
-        the context after j steps, ``wrels`` each step's written-register
-        offsets.  When *complete*, the walk reached a self-loop fixed
-        point and ``loop_d`` extends it to any length in closed form;
-        otherwise the path is a prefix (the chain had no entry yet for
-        the next step — the caller applies what exists and trickles on,
-        which memoizes further steps for the next build).
+        iterations before the context repeats — without this, every
+        all-hit stretch walks that decay one chain hit at a time.  The
+        returned path ``(cums, sids, wrels, loop_d, complete)`` lets a
+        stretch apply in O(1): ``cums[j]`` is the cycle delta after j
+        steps, ``sids[j]`` the context after j steps, ``wrels`` each
+        step's written-register offsets.  When *complete*, the walk
+        reached a self-loop fixed point and ``loop_d`` extends it to any
+        length in closed form; otherwise the path is a prefix (the chain
+        had no entry yet for the next step — the caller applies what
+        exists and trickles on, which memoizes further steps for the next
+        build).
 
         Walks at least *need* steps when it can; returns None when not
-        even two steps are known.  *int_keys* selects the integer
-        chain-key encoding used for one- and two-access blocks.  The
-        final element records the chain size at build time so callers can
-        skip re-walking an incomplete path until new transitions exist.
+        even two steps are known.  The final element records the chain
+        size at build time so callers can skip re-walking an incomplete
+        path until new transitions exist.
         """
         chain = self._chain
         cums = [0]
@@ -392,7 +388,7 @@ class InOrderPipeline:
         complete = False
         loop_d = 0
         while len(wrels) < bound:
-            t = chain.get((s << 6) | 32 if int_keys else (s, True) + hit_lats)
+            t = chain.get((s << 6) | 32)
             if t is None:
                 break
             d += t[0]
@@ -425,37 +421,34 @@ class InOrderPipeline:
         Byte-identical in every observable (cycle count, cache and
         predictor state including stats, memory-access counters) to
         :meth:`execute_event` over ``run.events()``, but built to spend
-        far fewer Python operations per block execution.  The
-        architectural side is the kernel functional warming runs too
-        (:meth:`FunctionalWarmer.execute_run`), through the same helpers:
+        far fewer Python operations per block execution.
 
-        * the first iteration performs the real I-fetch accesses; they
-          pin the block's lines at MRU for the rest of the run, so later
-          iterations fetch with zero stall and count as arithmetic hits
-          (:meth:`~repro.memory.CacheHierarchy.fetch_run`).  When
-          iteration 0 itself fetches entirely from the L1I (no stall), it
-          enters the memoized loop like any other iteration — a warm run
-          can then collapse into a single closed-form span;
-        * data accesses are probed for *silent* spans with the block's
-          :class:`~repro.memory.AccessPlan` probe — stretches of
-          iterations whose accesses leave the caches byte-identical.  The
-          whole span's cache work collapses to one arithmetic bump and
-          its latencies are known constants;
-        * the branch side of the whole run is applied up front
-          (:meth:`~repro.branch.BranchPredictor.apply_run`, bulk over the
-          uniformly-taken middle); the timing walk only reads which
-          iterations mispredicted;
-        * the scoreboard itself is memoized: the relative timing context
-          is interned to an integer id and each (context, latencies,
-          outcome) transition is recorded once, so repeats walk
-          ``cycle += delta; context = next`` without touching the
-          scoreboard arrays (absolute state is re-anchored on exit); a
-          self-loop transition inside a silent, correctly predicted span
-          finishes the span in closed form.
+        The architectural side comes first, for the whole run, through
+        exactly the calls functional warming makes
+        (:meth:`FunctionalWarmer.execute_run`):
+        :meth:`~repro.memory.CacheHierarchy.fetch_run` (iteration 0's
+        I-fetch stall; later iterations fetch from pinned lines),
+        :meth:`~repro.memory.CacheHierarchy.data_run` (the iterations
+        that missed the L1D, with their level codes) and
+        :meth:`~repro.branch.BranchPredictor.apply_run` (the mispredicted
+        iterations).  None of it reads the clock, so the timing side can
+        follow as a walk over those outcomes alone:
 
-        Any condition that cannot be proven cheaply falls back to the
-        memoized per-iteration path, and from there to the real scalar
-        scoreboard — never to an approximation.
+        * the scoreboard is memoized: the relative timing context is
+          interned to an integer id and each (context, level code,
+          prediction outcome) transition is recorded once, so repeats
+          walk ``cycle += delta; context = next`` without touching the
+          scoreboard arrays (absolute state is re-anchored on exit);
+        * a stretch of iterations that all hit the L1D and predict
+          correctly has constant inputs, so it applies the chain's
+          unrolled path from the current context in one step, and past
+          the path's self-loop fixed point in closed form
+          (:meth:`_build_path`);
+        * every other iteration takes one memoized chain step.
+
+        A transition the memo does not know yet runs the real scalar
+        scoreboard (:meth:`_issue_timing`) and is recorded — never an
+        approximation.
         """
         block = run.block
         n = run.n
@@ -469,53 +462,20 @@ class InOrderPipeline:
             self._paths.clear()
 
         hierarchy = self.hierarchy
-        access = hierarchy.access_plan(block)
-        if not access.pinned:
+        plan = hierarchy.access_plan(block)
+        if not plan.pinned:
             # Degenerate geometry: the block's own fetch lines collide
             # within a set, so iteration 0 does not pin them all at MRU.
             for event in run.events():
                 self.execute_event(event)
             return
-        bid = block.bid
-        live_in = block.live_in_regs
-        written = block.written_regs
-        div_fus = block.div_fus
-        lat_pairs = self._lat_pairs
-        pinfo = access.pinfo
-        n_pat = len(pinfo)
-        hit_lats = (self._l1d_hit_latency,) * n_pat
-        probe = access.probe
-
-        l1d = hierarchy.l1d
-        l1d_access = l1d.access_quiet
-        l2_access = hierarchy.l2.access_quiet
-        salt = hierarchy.address_salt
-        l1_hit = self._l1d_hit_latency
-        l2_lat = l1_hit + hierarchy.l2.hit_latency
-        mem_lat = l2_lat + self.machine.memory_latency
-        chain = self._chain
-        chain_get = chain.get
-        paths = self._paths
-        paths_get = paths.get
-        reg_ready = self._reg_ready
-        single = n_pat == 1
-        pair2 = n_pat == 2
-        if single:
-            strided0, b0, x0, sp0, w0 = pinfo[0]
-            l2_lats = (l2_lat,)
-            mem_lats = (mem_lat,)
-        if single or pair2:
-            # One- and two-access blocks run the access_quiet state
-            # transition inline (see Cache.hot_refs) — the L1D-miss/L2
-            # walk is the hottest sequence of the whole mode.
-            d_tags, d_dirty, d_shift, d_assoc, d_pow2, d_mask, d_nsets = (
-                l1d.hot_refs()
-            )
-            u_tags, u_dirty, u_shift, u_assoc, u_pow2, u_mask, u_nsets = (
-                hierarchy.l2.hot_refs()
-            )
-        int_keys = single or pair2  # integer chain keys for these blocks
-        d_wb = u_wb = 0  # deferred writeback counts from inlined accesses
+        fetch_stall = hierarchy.fetch_run(block.inst_lines, n)
+        data = hierarchy.data_run(plan, run.k_start, n)
+        data.append((n, 0))
+        mispredicts = self.predictor.apply_run(
+            block.branch_address, n, run.ends_entry, run.takens
+        )
+        mispredicts.append(n)
 
         # Completed misses from earlier runs would otherwise linger in the
         # heap and tax every context build; draining them is invisible
@@ -525,601 +485,103 @@ class InOrderPipeline:
         while mshrs and mshrs[0] <= c0:
             heappop(mshrs)
 
-        # Branch side, whole run up front: predictor state never reads the
-        # clock or the caches.  Iterations before `nm` (the next
-        # mispredicted one; `n` once none is left) predict correctly.
-        misses = self.predictor.apply_run(
-            block.branch_address, n, run.ends_entry, run.takens
-        )
-        misses.append(n)
-        mi = 0
-        nm = misses[0]
-
-        pending = None  # written-reg offsets of the last walked transition
-        mem_extra = 0  # deferred hierarchy.memory_accesses increments
-        l1d_n = l1d_h = l2_n = l2_h = 0  # deferred cache access/hit counts
-        silent_left = 0
-        probe_skip = False  # span ended at a known non-silent iteration
-        span_hint = -1  # probe-free silent span proven by a line fill
-        line_mask = (1 << d_shift) - 1 if single else 0
-        last_i = n - 1
-
-        # Iteration 0's I-fetch is always real; it pins the block's lines
-        # for the rest of the run (see CacheHierarchy.fetch_run).
-        fetch_stall = hierarchy.fetch_run(block.inst_lines, n)
+        n_pat = len(plan.pinfo)
+        bid = block.bid
+        live_in = block.live_in_regs
+        written = block.written_regs
+        div_fus = block.div_fus
+        chain = self._chain
+        chain_get = chain.get
+        paths = self._paths
+        paths_get = paths.get
+        reg_ready = self._reg_ready
+        # The next iteration with an L1D miss (and its level code) and the
+        # next mispredicted one; `n` once none is left.
+        di = bi = 0
+        nd, dcode = data[0]
+        nb = mispredicts[0]
+        i = 0
         if fetch_stall:
             # Rare cold fetch: run iteration 0 through the real scoreboard
             # (the memo chain assumes stall-free fetch) and rejoin at 1.
-            k = run.k_start
-            buf = []
-            for pat in access.patterns:
-                a = pat.address(k) ^ salt
-                w = pat.is_write
-                l1d_n += 1
-                if l1d_access(a, w):
-                    l1d_h += 1
-                    buf.append(l1_hit)
-                else:
-                    l2_n += 1
-                    if l2_access(a, w):
-                        l2_h += 1
-                        buf.append(l2_lat)
-                    else:
-                        mem_extra += 1
-                        buf.append(mem_lat)
-            correct = nm != 0
+            code = 0
+            if nd == 0:
+                code = dcode
+                di = 1
+                nd, dcode = data[1]
+            correct = nb != 0
             if not correct:
-                mi = 1
-                nm = misses[1]
-            self._issue_timing(block, buf, fetch_stall, correct)
+                bi = 1
+                nb = mispredicts[1]
+            self._issue_timing(
+                block, hierarchy.code_latencies(code, n_pat), fetch_stall, correct
+            )
             i = 1
-            k += 1
-        else:
-            i = 0
-            k = run.k_start
+        stop = nd if nd < nb else nb  # end of the current all-hit stretch
 
         sid = self._intern_context(bid, live_in, div_fus)
         cycle = self.cycle  # local through the loop; synced around calls
-        while i <= last_i:
-            if probe is None and single and i < nm:
-                # Never-silent single-access blocks (a cache-thrashing
-                # loop) spend each correctly predicted stretch of the run
-                # here: address, inline access, memoized timing step —
-                # none of the span/branch bookkeeping of the general
-                # path, which cannot apply to them.  The access body is
-                # the same inline access_quiet transition as below.
-                stop = nm
-                if d_assoc == 4:
-                    # 4-way L1D (the default geometry): the recency
-                    # rotation is unrolled into element moves — no range
-                    # object, no slice allocations — while remaining the
-                    # exact access_quiet transition.  A thrashing block
-                    # rotates or evicts on nearly every access, so this
-                    # is the hottest store sequence of the whole mode.
-                    while i < stop:
-                        if strided0:
-                            a = (b0 + (k * x0) % sp0) ^ salt
-                        else:
-                            h = ((k + x0) * 2654435761) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            a = (b0 + ((h % sp0) & -8)) ^ salt
-                        l1d_n += 1
-                        code = 0
-                        line = a >> d_shift
-                        b = (line & d_mask if d_pow2 else line % d_nsets) * 4
-                        if d_tags[b] == line:
-                            if w0:
-                                d_dirty[b] = True
-                            l1d_h += 1
-                        elif d_tags[b + 1] == line:
-                            dd = d_dirty[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = dd or w0
-                            l1d_h += 1
-                        elif d_tags[b + 2] == line:
-                            dd = d_dirty[b + 2]
-                            d_tags[b + 2] = d_tags[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 2] = d_dirty[b + 1]
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = dd or w0
-                            l1d_h += 1
-                        elif d_tags[b + 3] == line:
-                            dd = d_dirty[b + 3]
-                            d_tags[b + 3] = d_tags[b + 2]
-                            d_tags[b + 2] = d_tags[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 3] = d_dirty[b + 2]
-                            d_dirty[b + 2] = d_dirty[b + 1]
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = dd or w0
-                            l1d_h += 1
-                        else:
-                            if d_dirty[b + 3] and d_tags[b + 3] != -1:
-                                d_wb += 1
-                            d_tags[b + 3] = d_tags[b + 2]
-                            d_tags[b + 2] = d_tags[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 3] = d_dirty[b + 2]
-                            d_dirty[b + 2] = d_dirty[b + 1]
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = w0
-                            l2_n += 1
-                            line = a >> u_shift
-                            b = (
-                                line & u_mask if u_pow2 else line % u_nsets
-                            ) * u_assoc
-                            if u_tags[b] == line:
-                                if w0:
-                                    u_dirty[b] = True
-                                l2_h += 1
-                                code = 1
-                            else:
-                                bend = b + u_assoc
-                                for j in range(b + 1, bend):
-                                    if u_tags[j] == line:
-                                        dd = u_dirty[j]
-                                        u_tags[b + 1 : j + 1] = u_tags[b:j]
-                                        u_dirty[b + 1 : j + 1] = u_dirty[b:j]
-                                        u_tags[b] = line
-                                        u_dirty[b] = dd or w0
-                                        l2_h += 1
-                                        code = 1
-                                        break
-                                else:
-                                    if (
-                                        u_dirty[bend - 1]
-                                        and u_tags[bend - 1] != -1
-                                    ):
-                                        u_wb += 1
-                                    u_tags[b + 1 : bend] = u_tags[b : bend - 1]
-                                    u_dirty[b + 1 : bend] = u_dirty[
-                                        b : bend - 1
-                                    ]
-                                    u_tags[b] = line
-                                    u_dirty[b] = w0
-                                    mem_extra += 1
-                                    code = 2
-                        t = chain_get((sid << 6) | 32 | code)
-                        if t is None:
-                            break
-                        cycle += t[0]
-                        sid = t[1]
-                        pending = t[2]
-                        i += 1
-                        k += 1
-                else:
-                    while i < stop:
-                        if strided0:
-                            a = (b0 + (k * x0) % sp0) ^ salt
-                        else:
-                            h = ((k + x0) * 2654435761) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            a = (b0 + ((h % sp0) & -8)) ^ salt
-                        l1d_n += 1
-                        code = 0
-                        line = a >> d_shift
-                        b = (line & d_mask if d_pow2 else line % d_nsets) * d_assoc
-                        if d_tags[b] == line:
-                            if w0:
-                                d_dirty[b] = True
-                            l1d_h += 1
-                        else:
-                            bend = b + d_assoc
-                            for j in range(b + 1, bend):
-                                if d_tags[j] == line:
-                                    dd = d_dirty[j]
-                                    d_tags[b + 1 : j + 1] = d_tags[b:j]
-                                    d_dirty[b + 1 : j + 1] = d_dirty[b:j]
-                                    d_tags[b] = line
-                                    d_dirty[b] = dd or w0
-                                    l1d_h += 1
-                                    break
-                            else:
-                                if d_dirty[bend - 1] and d_tags[bend - 1] != -1:
-                                    d_wb += 1
-                                d_tags[b + 1 : bend] = d_tags[b : bend - 1]
-                                d_dirty[b + 1 : bend] = d_dirty[b : bend - 1]
-                                d_tags[b] = line
-                                d_dirty[b] = w0
-                                l2_n += 1
-                                line = a >> u_shift
-                                b = (
-                                    line & u_mask if u_pow2 else line % u_nsets
-                                ) * u_assoc
-                                if u_tags[b] == line:
-                                    if w0:
-                                        u_dirty[b] = True
-                                    l2_h += 1
-                                    code = 1
-                                else:
-                                    bend = b + u_assoc
-                                    for j in range(b + 1, bend):
-                                        if u_tags[j] == line:
-                                            dd = u_dirty[j]
-                                            u_tags[b + 1 : j + 1] = u_tags[b:j]
-                                            u_dirty[b + 1 : j + 1] = u_dirty[b:j]
-                                            u_tags[b] = line
-                                            u_dirty[b] = dd or w0
-                                            l2_h += 1
-                                            code = 1
-                                            break
-                                    else:
-                                        if (
-                                            u_dirty[bend - 1]
-                                            and u_tags[bend - 1] != -1
-                                        ):
-                                            u_wb += 1
-                                        u_tags[b + 1 : bend] = u_tags[
-                                            b : bend - 1
-                                        ]
-                                        u_dirty[b + 1 : bend] = u_dirty[
-                                            b : bend - 1
-                                        ]
-                                        u_tags[b] = line
-                                        u_dirty[b] = w0
-                                        mem_extra += 1
-                                        code = 2
-                        t = chain_get((sid << 6) | 32 | code)
-                        if t is None:
-                            break
-                        cycle += t[0]
-                        sid = t[1]
-                        pending = t[2]
-                        i += 1
-                        k += 1
-                if i < stop:
-                    # Unmemoized transition: finish this iteration through
-                    # the real scoreboard and record it for next time.
-                    lats = (hit_lats, l2_lats, mem_lats)[code]
-                    self.cycle = cycle
-                    if pending is not None:
-                        self._materialize(sid, pending, live_in, written, div_fus)
-                        pending = None
-                    self._issue_timing(block, lats, 0, True)
-                    after = self.cycle
-                    nsid = self._intern_context(bid, live_in, div_fus)
-                    chain[(sid << 6) | 32 | code] = (
-                        after - cycle,
-                        nsid,
-                        tuple(
-                            [
-                                (v - after) if (v := reg_ready[r]) > after else 0
-                                for r in written
-                            ]
-                        ),
-                    )
-                    cycle = after
-                    sid = nsid
-                    i += 1
-                    k += 1
-                continue
-            # Data side: inside a proven-silent span the latencies are the
-            # L1 hit constant and no cache state moves; otherwise probe
-            # for a new span, and failing that do the real accesses.
-            if silent_left > 0:
-                lats = hit_lats
+        pending = None  # written-reg offsets of the last walked transition
+        ckey: Any  # chain key: int, or a tuple for wide level codes
+        while i < n:
+            if i < stop:
+                m = stop - i
+                if m > 1:
+                    # All-hit, correctly predicted stretch: apply the
+                    # chain's unrolled path from this context at once.
+                    path = paths_get(sid)
+                    if path is None or (
+                        not path[4] and m > len(path[2]) and len(chain) != path[5]
+                    ):
+                        built = self._build_path(sid, m)
+                        if built is not None:
+                            path = paths[sid] = built
+                    if path is not None:
+                        wrels = path[2]
+                        last = len(wrels)
+                        if m > last and path[4]:
+                            # Past the fixed point: extend in closed form.
+                            cycle += (m - last) * path[3]
+                            i += m - last
+                        # A prefix-only path applies what the chain knows;
+                        # the rest trickles on, memoizing missing steps.
+                        j = m if m < last else last
+                        cycle += path[0][j]
+                        sid = path[1][j]
+                        pending = wrels[j - 1]
+                        i += j
+                        continue
                 code = 0
-                silent_left -= 1
-            else:
-                lats = None
-                if probe is None or probe_skip:
-                    probe_skip = False
-                else:
-                    lim = last_i - i + 1
-                    if span_hint >= 0:
-                        m = span_hint if span_hint < lim else lim
-                        span_hint = -1
-                    else:
-                        m = probe(k, lim)
-                    if m > 0:
-                        l1d_n += m * n_pat
-                        l1d_h += m * n_pat
-                        # A span cut short (not by the run end) ended at a
-                        # provably non-silent iteration — skip re-probing
-                        # it and go straight to the real accesses.
-                        probe_skip = m < lim
-                        if m > 1 and i < nm:
-                            # Whole-span fast-forward: as much of the span
-                            # as is correctly predicted applies the
-                            # precomputed chain unroll from this context
-                            # in closed form.
-                            cover = nm - i
-                            mm = m if m < cover else cover
-                            if mm > 1:
-                                path = paths_get(sid)
-                                if path is None or (
-                                    not path[4]
-                                    and mm > len(path[2])
-                                    and len(chain) != path[5]
-                                ):
-                                    np = self._build_path(
-                                        sid, hit_lats, mm, int_keys
-                                    )
-                                    if np is not None:
-                                        path = np
-                                        paths[sid] = np
-                                if path is not None:
-                                    cums = path[0]
-                                    pwrels = path[2]
-                                    last = len(pwrels)
-                                    if mm > last:
-                                        if path[4]:
-                                            # Past the fixed point: extend
-                                            # the walk in closed form.
-                                            cycle += (mm - last) * path[3]
-                                        else:
-                                            # Prefix only: apply what the
-                                            # chain knows, trickle the rest
-                                            # (memoizing missing steps).
-                                            mm = last
-                                    cycle += cums[mm if mm < last else last]
-                                    sid = path[1][mm if mm < last else last]
-                                    pending = pwrels[
-                                        (mm if mm < last else last) - 1
-                                    ]
-                                    silent_left = m - mm
-                                    i += mm
-                                    k += mm
-                                    continue
-                        lats = hit_lats
-                        code = 0
-                        silent_left = m - 1
-                if lats is None:
-                    if single:
-                        l1d_n += 1
-                        if strided0:
-                            off = (k * x0) % sp0
-                            a = (b0 + off) ^ salt
-                        else:
-                            h = ((k + x0) * 2654435761) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            a = (b0 + ((h % sp0) & -8)) ^ salt
-                        # Inlined Cache.access_quiet on the L1D, falling
-                        # through to the L2 on a miss — byte-for-byte the
-                        # same state transition as the method calls.
-                        line = a >> d_shift
-                        b = (line & d_mask if d_pow2 else line % d_nsets) * d_assoc
-                        if d_tags[b] == line:
-                            if w0:
-                                d_dirty[b] = True
-                            l1d_h += 1
-                            lats = hit_lats
-                            code = 0
-                        else:
-                            bend = b + d_assoc
-                            for j in range(b + 1, bend):
-                                if d_tags[j] == line:
-                                    dd = d_dirty[j]
-                                    d_tags[b + 1 : j + 1] = d_tags[b:j]
-                                    d_dirty[b + 1 : j + 1] = d_dirty[b:j]
-                                    d_tags[b] = line
-                                    d_dirty[b] = dd or w0
-                                    l1d_h += 1
-                                    lats = hit_lats
-                                    code = 0
-                                    break
-                            else:
-                                if d_dirty[bend - 1] and d_tags[bend - 1] != -1:
-                                    d_wb += 1
-                                d_tags[b + 1 : bend] = d_tags[b : bend - 1]
-                                d_dirty[b + 1 : bend] = d_dirty[b : bend - 1]
-                                d_tags[b] = line
-                                d_dirty[b] = w0
-                                if strided0:
-                                    # The fill just placed this line at MRU
-                                    # (dirty when writing), so the rest of
-                                    # its line group is silent by
-                                    # construction — no probe needed.
-                                    g = ((off | line_mask) - off) // x0
-                                    gw = (sp0 - off + x0 - 1) // x0 - 1
-                                    if gw < g:
-                                        g = gw
-                                    if g > 0:
-                                        span_hint = g
-                                l2_n += 1
-                                line = a >> u_shift
-                                b = (
-                                    line & u_mask if u_pow2 else line % u_nsets
-                                ) * u_assoc
-                                if u_tags[b] == line:
-                                    if w0:
-                                        u_dirty[b] = True
-                                    l2_h += 1
-                                    lats = l2_lats
-                                    code = 1
-                                else:
-                                    bend = b + u_assoc
-                                    for j in range(b + 1, bend):
-                                        if u_tags[j] == line:
-                                            dd = u_dirty[j]
-                                            u_tags[b + 1 : j + 1] = u_tags[b:j]
-                                            u_dirty[b + 1 : j + 1] = u_dirty[b:j]
-                                            u_tags[b] = line
-                                            u_dirty[b] = dd or w0
-                                            l2_h += 1
-                                            lats = l2_lats
-                                            code = 1
-                                            break
-                                    else:
-                                        if (
-                                            u_dirty[bend - 1]
-                                            and u_tags[bend - 1] != -1
-                                        ):
-                                            u_wb += 1
-                                        u_tags[b + 1 : bend] = u_tags[b : bend - 1]
-                                        u_dirty[b + 1 : bend] = u_dirty[
-                                            b : bend - 1
-                                        ]
-                                        u_tags[b] = line
-                                        u_dirty[b] = w0
-                                        mem_extra += 1
-                                        lats = mem_lats
-                                        code = 2
-                    elif pair2:
-                        # Two-access blocks: both accesses inline (same
-                        # transition as Cache.access_quiet), the latency
-                        # pair looked up by base-3 level code.
-                        code = 0
-                        for st, bb, xx, spn, w in pinfo:
-                            if st:
-                                a = (bb + (k * xx) % spn) ^ salt
-                            else:
-                                h = ((k + xx) * 2654435761) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                a = (bb + ((h % spn) & -8)) ^ salt
-                            l1d_n += 1
-                            c = 0
-                            line = a >> d_shift
-                            b = (
-                                line & d_mask if d_pow2 else line % d_nsets
-                            ) * d_assoc
-                            if d_tags[b] == line:
-                                if w:
-                                    d_dirty[b] = True
-                                l1d_h += 1
-                            else:
-                                bend = b + d_assoc
-                                for j in range(b + 1, bend):
-                                    if d_tags[j] == line:
-                                        dd = d_dirty[j]
-                                        d_tags[b + 1 : j + 1] = d_tags[b:j]
-                                        d_dirty[b + 1 : j + 1] = d_dirty[b:j]
-                                        d_tags[b] = line
-                                        d_dirty[b] = dd or w
-                                        l1d_h += 1
-                                        break
-                                else:
-                                    if (
-                                        d_dirty[bend - 1]
-                                        and d_tags[bend - 1] != -1
-                                    ):
-                                        d_wb += 1
-                                    d_tags[b + 1 : bend] = d_tags[b : bend - 1]
-                                    d_dirty[b + 1 : bend] = d_dirty[
-                                        b : bend - 1
-                                    ]
-                                    d_tags[b] = line
-                                    d_dirty[b] = w
-                                    l2_n += 1
-                                    line = a >> u_shift
-                                    b = (
-                                        line & u_mask
-                                        if u_pow2
-                                        else line % u_nsets
-                                    ) * u_assoc
-                                    if u_tags[b] == line:
-                                        if w:
-                                            u_dirty[b] = True
-                                        l2_h += 1
-                                        c = 1
-                                    else:
-                                        bend = b + u_assoc
-                                        for j in range(b + 1, bend):
-                                            if u_tags[j] == line:
-                                                dd = u_dirty[j]
-                                                u_tags[b + 1 : j + 1] = u_tags[
-                                                    b:j
-                                                ]
-                                                u_dirty[b + 1 : j + 1] = (
-                                                    u_dirty[b:j]
-                                                )
-                                                u_tags[b] = line
-                                                u_dirty[b] = dd or w
-                                                l2_h += 1
-                                                c = 1
-                                                break
-                                        else:
-                                            if (
-                                                u_dirty[bend - 1]
-                                                and u_tags[bend - 1] != -1
-                                            ):
-                                                u_wb += 1
-                                            u_tags[b + 1 : bend] = u_tags[
-                                                b : bend - 1
-                                            ]
-                                            u_dirty[b + 1 : bend] = u_dirty[
-                                                b : bend - 1
-                                            ]
-                                            u_tags[b] = line
-                                            u_dirty[b] = w
-                                            mem_extra += 1
-                                            c = 2
-                            code = code * 3 + c
-                        lats = lat_pairs[code]
-                    else:
-                        buf = []
-                        for st, bb, xx, spn, w in pinfo:
-                            if st:
-                                a = (bb + (k * xx) % spn) ^ salt
-                            else:
-                                h = ((k + xx) * 2654435761) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                a = (bb + ((h % spn) & -8)) ^ salt
-                            l1d_n += 1
-                            if l1d_access(a, w):
-                                l1d_h += 1
-                                buf.append(l1_hit)
-                            else:
-                                l2_n += 1
-                                if l2_access(a, w):
-                                    l2_h += 1
-                                    buf.append(l2_lat)
-                                else:
-                                    mem_extra += 1
-                                    buf.append(mem_lat)
-                        lats = tuple(buf)
-
-            # Branch side: already applied; read this iteration's outcome.
-            if i < nm:
                 correct = True
+                ckey = (sid << 6) | 32
             else:
-                correct = False
-                mi += 1
-                nm = misses[mi]
-
-            # Timing side: walk the memoized transition if known.
-            if int_keys:
-                ckey = (sid << 6) | (32 if correct else 0) | code
-            else:
-                ckey = (sid, correct) + lats
+                # An iteration with an L1D miss, a misprediction, or both.
+                code = 0
+                if i == nd:
+                    code = dcode
+                    di += 1
+                    nd, dcode = data[di]
+                correct = i != nb
+                if not correct:
+                    bi += 1
+                    nb = mispredicts[bi]
+                stop = nd if nd < nb else nb
+                # Codes of up to three accesses fit the integer key.
+                if code < 32:
+                    ckey = (sid << 6) | (32 if correct else 0) | code
+                else:
+                    ckey = (sid, correct, code)
             t = chain_get(ckey)
             if t is not None:
                 cycle += t[0]
-                nsid = t[1]
+                sid = t[1]
                 pending = t[2]
-                if nsid == sid and silent_left > 0 and correct and nm - i > 1:
-                    # Fixed point with constant inputs: every further
-                    # iteration of the silent, correctly predicted span
-                    # repeats this transition.  Apply it in closed form.
-                    mm = nm - i - 1
-                    if silent_left < mm:
-                        mm = silent_left
-                    cycle += mm * t[0]
-                    silent_left -= mm
-                    i += mm
-                    k += mm
-                sid = nsid
             else:
                 self.cycle = cycle
                 if pending is not None:
                     self._materialize(sid, pending, live_in, written, div_fus)
                     pending = None
+                lats = hierarchy.code_latencies(code, n_pat)
                 self._issue_timing(block, lats, 0, correct)
                 after = self.cycle
                 nsid = self._intern_context(bid, live_in, div_fus)
@@ -1136,25 +598,10 @@ class InOrderPipeline:
                 cycle = after
                 sid = nsid
             i += 1
-            k += 1
 
         self.cycle = cycle
         if pending is not None:
             self._materialize(sid, pending, live_in, written, div_fus)
-        if mem_extra:
-            hierarchy.memory_accesses += mem_extra
-        if l1d_n:
-            l1d_stats = l1d.stats
-            l1d_stats.accesses += l1d_n
-            l1d_stats.hits += l1d_h
-        if d_wb:
-            l1d.stats.writebacks += d_wb
-        if l2_n:
-            l2_stats = hierarchy.l2.stats
-            l2_stats.accesses += l2_n
-            l2_stats.hits += l2_h
-        if u_wb:
-            hierarchy.l2.stats.writebacks += u_wb
 
     def run_window(self, events: List[BlockEvent]) -> WindowResult:
         """Execute a list of events and report ops/cycles for the window."""

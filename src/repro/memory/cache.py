@@ -124,10 +124,9 @@ class Cache:
         State transitions (MRU moves, allocation, dirty bits) and the
         writeback counter are identical to :meth:`access`; the caller is
         responsible for adding the corresponding access/hit counts in
-        bulk.  The batched pipeline uses this so its hot loop can defer
-        counter arithmetic to one flush per run.  The set lookup is
-        inlined and the MRU hit returns early — this is the hottest
-        primitive of the batched detailed path.
+        bulk.  :meth:`CacheHierarchy.data_run` and ``fetch_run`` use this
+        so a whole run's counter arithmetic is one flush.  The set lookup
+        is inlined and the MRU hit returns early.
         """
         line = addr >> self._line_shift
         if self._power_of_two_sets:
@@ -161,10 +160,11 @@ class Cache:
         """Internal-state references for callers that inline the access path.
 
         Returns ``(tags, dirty, line_shift, assoc, pow2_sets, set_mask,
-        n_sets)``.  The batched pipeline and functional warming bind these
-        as locals and run the :meth:`access_quiet` state transition inline
-        in their hot loops — the lists are the live storage, so inlined
-        transitions and method calls remain interchangeable at every point.
+        n_sets)``.  :meth:`CacheHierarchy.data_run`, the one batched data
+        walk, binds these as locals and runs the :meth:`access_quiet`
+        state transition inline — the lists are the live storage, so
+        inlined transitions and method calls remain interchangeable at
+        every point.
         """
         return (
             self._tags,
@@ -195,8 +195,9 @@ class Cache:
         accesses at ``base + (k * stride) % span`` for
         ``k in [k_start, k_start + m)`` would all be silent hits.
         Consecutive executions sharing a cache line are vouched for
-        together, so the walk is per line-group, not per execution.  The tag checks are inlined — this runs inside the
-        batched pipeline's hot loop.
+        together, so the walk is per line-group, not per execution.  The
+        tag checks are inlined — this runs once per non-silent execution
+        of :meth:`CacheHierarchy.data_run`.
         """
         tags = self._tags
         dirty = self._dirty
@@ -210,13 +211,17 @@ class Cache:
         end = k_start + limit
         while k < end:
             off = (k * stride) % span
-            line = ((base + off) ^ salt) >> shift
+            a = base + off
+            line = (a ^ salt) >> shift
             b = (line & set_mask if pow2 else line % n_sets) * assoc
             if tags[b] != line or (is_write and not dirty[b]):
                 break
             # Executions sharing this line (and staying inside the span)
-            # are silent together; jump straight past them.
-            by_line = ((off | line_mask) - off) // stride + 1
+            # are silent together; jump straight past them.  The group
+            # ends at the line boundary of the address, not of the
+            # offset: bases need not be line-aligned (the salt only sets
+            # bits far above the line offset).
+            by_line = ((a | line_mask) - a) // stride + 1
             by_wrap = (span - off + stride - 1) // stride
             k += by_line if by_line < by_wrap else by_wrap
         return (k if k < end else end) - k_start
@@ -263,10 +268,11 @@ class Cache:
             lines = []
             for base, stride, span, w in pats:
                 off = (k * stride) % span
-                line = ((base + off) ^ salt) >> shift
+                a = base + off
+                line = (a ^ salt) >> shift
                 b = (line & set_mask if pow2 else line % n_sets) * assoc
                 lines.append((b, line, w))
-                by_line = ((off | line_mask) - off) // stride + 1
+                by_line = ((a | line_mask) - a) // stride + 1
                 by_wrap = (span - off + stride - 1) // stride
                 g = by_line if by_line < by_wrap else by_wrap
                 if g < step:
@@ -344,10 +350,12 @@ class Cache:
         end = k_start + limit
         while k < end:
             o1 = (k * s1) % sp1
-            l1 = ((b1 + o1) ^ salt) >> shift
+            x1 = b1 + o1
+            l1 = (x1 ^ salt) >> shift
             a1 = (l1 & set_mask if pow2 else l1 % n_sets) * assoc
             o2 = (k * s2) % sp2
-            l2 = ((b2 + o2) ^ salt) >> shift
+            x2 = b2 + o2
+            l2 = (x2 ^ salt) >> shift
             a2 = (l2 & set_mask if pow2 else l2 % n_sets) * assoc
             if a1 != a2:
                 # Distinct sets: net-silence is per-line MRU rest.
@@ -368,11 +376,11 @@ class Cache:
                     break
                 if (w2 and not dirty[a1]) or (w1 and not dirty[a1 + 1]):
                     break
-            g = ((o1 | line_mask) - o1) // s1 + 1
+            g = ((x1 | line_mask) - x1) // s1 + 1
             gw = (sp1 - o1 + s1 - 1) // s1
             if gw < g:
                 g = gw
-            gl = ((o2 | line_mask) - o2) // s2 + 1
+            gl = ((x2 | line_mask) - x2) // s2 + 1
             if gl < g:
                 g = gl
             gw = (sp2 - o2 + s2 - 1) // s2

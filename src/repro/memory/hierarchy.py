@@ -13,6 +13,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    List,
     NamedTuple,
     Optional,
     Sequence,
@@ -46,17 +47,18 @@ class AccessResult:
 class AccessPlan(NamedTuple):
     """One block's memory side, prepared for whole-run execution.
 
-    Built once per block by :meth:`CacheHierarchy.access_plan` and shared
-    by every batched consumer (the detailed pipeline and functional
-    warming), so both walk the same accesses in the same order and prove
-    silence the same way.
+    Built once per block by :meth:`CacheHierarchy.access_plan` and walked
+    by :meth:`CacheHierarchy.data_run`, the one batched data walk both
+    the detailed pipeline and functional warming call.
 
     Attributes:
-        patterns: the block's memory patterns in program order.
-        pinfo: per pattern, its address generator unpacked for inline
-            evaluation — ``(True, base, stride, span, is_write)`` for
-            strided patterns, ``(False, base, seed, span, is_write)`` for
-            hashed ones (see :meth:`MemPattern.address`).
+        pinfo: per memory pattern, in program order, its address
+            generator unpacked for inline evaluation — ``(True, base,
+            stride, span, is_write, digit)`` for strided patterns,
+            ``(False, base, seed, span, is_write, digit)`` for hashed
+            ones (see :meth:`MemPattern.address`); *digit* is the
+            pattern's place value ``3 ** (n - 1 - j)`` in the base-3
+            level code :meth:`CacheHierarchy.data_run` reports.
         probe: ``probe(k_start, limit)`` returns how many consecutive
             executions from *k_start* (at most *limit*) are net-silent on
             the data side against the current cache state.  ``None`` for
@@ -66,8 +68,7 @@ class AccessPlan(NamedTuple):
             :meth:`CacheHierarchy.fetch_run` applies.
     """
 
-    patterns: Tuple["MemPattern", ...]
-    pinfo: Tuple[Tuple[bool, int, int, int, bool], ...]
+    pinfo: Tuple[Tuple[bool, int, int, int, bool, int], ...]
     probe: Optional[Callable[[int, int], int]]
     pinned: bool
 
@@ -80,7 +81,12 @@ class CacheHierarchy:
     * :meth:`access_data` / :meth:`access_inst` — full result objects,
       used by tests and tooling;
     * :meth:`data_latency` / :meth:`inst_latency` — bare integer latencies,
-      used by the pipeline's hot loop.
+      used by the scalar pipeline, one access at a time.
+
+    Batched consumers (functional warming and the detailed pipeline)
+    apply a whole run at once instead: :meth:`fetch_run` for the
+    instruction side and :meth:`data_run` for the data side, both driven
+    by the block's :class:`AccessPlan`.
     """
 
     def __init__(
@@ -213,18 +219,23 @@ class CacheHierarchy:
         strided = tuple(
             pat.kind in (PatternKind.STREAM, PatternKind.REUSE) for pat in patterns
         )
+        n = len(patterns)
         pinfo = tuple(
-            (True, pat.base, pat.stride, pat.span, pat.is_write)
-            if st
-            else (False, pat.base, pat.seed, pat.span, pat.is_write)
-            for pat, st in zip(patterns, strided)
+            (
+                st,
+                pat.base,
+                pat.stride if st else pat.seed,
+                pat.span,
+                pat.is_write,
+                3 ** (n - 1 - j),
+            )
+            for j, (pat, st) in enumerate(zip(patterns, strided))
         )
         l1d_bytes = self.l1d.config.size_bytes
         never_silent = any(
             not st and pat.span > l1d_bytes for pat, st in zip(patterns, strided)
         )
         return AccessPlan(
-            patterns,
             pinfo,
             None if never_silent else self._silent_probe(patterns, strided),
             len(block.inst_lines) <= self.l1i.n_sets,
@@ -317,6 +328,185 @@ class CacheHierarchy:
         stats.accesses += n * n_lines
         stats.hits += (n - 1) * n_lines + hits
         return stall
+
+    def data_run(self, plan: AccessPlan, k: int, n: int) -> List[Tuple[int, int]]:
+        """Apply the data side of *n* back-to-back executions of a block,
+        ``k .. k + n - 1``; return the ones that missed the L1D.
+
+        Byte-identical in every cache and counter to :meth:`data_latency`
+        over each execution's accesses in program order.  The result is
+        sparse: ``(i, code)`` for each execution ``k + i`` with at least
+        one L1D miss, where *code* is the base-3 number whose digits are
+        the accesses' servicing levels in program order (0 L1, 1 L2,
+        2 memory; see ``AccessPlan.pinfo``).  Executions not listed hit
+        the L1D on every access.
+
+        Only executions no probe could prove silent touch the caches.
+        With the default 4-way L1D they run :meth:`Cache.access_quiet`'s
+        transition inline — the L1D's recency rotation unrolled, the L2
+        walked by slice search — with every counter deferred to one
+        flush; other geometries call ``access_quiet`` itself.
+        """
+        pinfo = plan.pinfo
+        if not pinfo:
+            return []
+        n_pat = len(pinfo)
+        probe = plan.probe
+        l1d = self.l1d
+        l2 = self.l2
+        l1d_access = l1d.access_quiet
+        l2_access = l2.access_quiet
+        salt = self._salt
+        d_tags, d_dirty, d_shift, d_assoc, d_pow2, d_mask, d_nsets = l1d.hot_refs()
+        u_tags, u_dirty, u_shift, u_assoc, u_pow2, u_mask, u_nsets = l2.hot_refs()
+        inline = d_assoc == 4
+        line_mask = (1 << d_shift) - 1
+        # A single strided access leaves its line at MRU (dirty when it
+        # writes), so the executions after it that share the line are
+        # silent by construction: skip them without probing.
+        hinted = n_pat == 1 and pinfo[0][0]
+        k0 = k
+        end = k + n
+        misses: List[Tuple[int, int]] = []
+        d_miss = u_miss = d_wb = u_wb = 0
+        hint = 0
+        # A silent span that stopped short ended at an execution that is
+        # likely (probed: certainly) not silent: go straight to its real
+        # accesses.
+        skip = probe is None
+        while k < end:
+            if hint:
+                k += hint if hint < end - k else end - k
+                hint = 0
+                skip = True
+                continue
+            if skip:
+                skip = probe is None
+            elif probe is not None:
+                m = probe(k, end - k)
+                if m:
+                    k += m
+                    skip = True
+                    continue
+            code = 0
+            for st, bb, xx, spn, w, digit in pinfo:
+                if st:
+                    a = bb + (k * xx) % spn
+                    if hinted:
+                        hint = ((a | line_mask) - a) // xx
+                        gw = (spn - (k * xx) % spn - 1) // xx
+                        if gw < hint:
+                            hint = gw
+                    a ^= salt
+                else:
+                    h = ((k + xx) * 2654435761) & 0xFFFFFFFF
+                    h ^= h >> 16
+                    h = (h * 0x45D9F3B) & 0xFFFFFFFF
+                    h ^= h >> 16
+                    a = (bb + ((h % spn) & -8)) ^ salt
+                if not inline:
+                    if not l1d_access(a, w):
+                        d_miss += 1
+                        if l2_access(a, w):
+                            code += digit
+                        else:
+                            u_miss += 1
+                            code += 2 * digit
+                    continue
+                line = a >> d_shift
+                b = (line & d_mask if d_pow2 else line % d_nsets) * 4
+                if d_tags[b] == line:
+                    if w:
+                        d_dirty[b] = True
+                    continue
+                if d_tags[b + 1] == line:
+                    dd = d_dirty[b + 1]
+                    d_tags[b + 1] = d_tags[b]
+                    d_tags[b] = line
+                    d_dirty[b + 1] = d_dirty[b]
+                    d_dirty[b] = dd or w
+                    continue
+                if d_tags[b + 2] == line:
+                    dd = d_dirty[b + 2]
+                    d_tags[b + 2] = d_tags[b + 1]
+                    d_tags[b + 1] = d_tags[b]
+                    d_tags[b] = line
+                    d_dirty[b + 2] = d_dirty[b + 1]
+                    d_dirty[b + 1] = d_dirty[b]
+                    d_dirty[b] = dd or w
+                    continue
+                # LRU way: a hit there rotates like a miss evicts it.
+                hit = d_tags[b + 3] == line
+                if hit:
+                    dd = d_dirty[b + 3] or w
+                else:
+                    dd = w
+                    if d_dirty[b + 3] and d_tags[b + 3] != -1:
+                        d_wb += 1
+                    d_miss += 1
+                d_tags[b + 3] = d_tags[b + 2]
+                d_tags[b + 2] = d_tags[b + 1]
+                d_tags[b + 1] = d_tags[b]
+                d_tags[b] = line
+                d_dirty[b + 3] = d_dirty[b + 2]
+                d_dirty[b + 2] = d_dirty[b + 1]
+                d_dirty[b + 1] = d_dirty[b]
+                d_dirty[b] = dd
+                if hit:
+                    continue
+                line = a >> u_shift
+                b = (line & u_mask if u_pow2 else line % u_nsets) * u_assoc
+                if u_tags[b] == line:
+                    if w:
+                        u_dirty[b] = True
+                    code += digit
+                    continue
+                bend = b + u_assoc
+                if line in u_tags[b + 1 : bend]:
+                    j = u_tags.index(line, b + 1, bend)
+                    dd = u_dirty[j]
+                    u_tags[b + 1 : j + 1] = u_tags[b:j]
+                    u_dirty[b + 1 : j + 1] = u_dirty[b:j]
+                    u_tags[b] = line
+                    u_dirty[b] = dd or w
+                    code += digit
+                    continue
+                if u_dirty[bend - 1] and u_tags[bend - 1] != -1:
+                    u_wb += 1
+                u_tags[b + 1 : bend] = u_tags[b : bend - 1]
+                u_dirty[b + 1 : bend] = u_dirty[b : bend - 1]
+                u_tags[b] = line
+                u_dirty[b] = w
+                u_miss += 1
+                code += 2 * digit
+            if code:
+                misses.append((k - k0, code))
+            k += 1
+
+        stats = l1d.stats
+        stats.accesses += n * n_pat
+        stats.hits += n * n_pat - d_miss
+        stats.writebacks += d_wb
+        if d_miss:
+            stats = l2.stats
+            stats.accesses += d_miss
+            stats.hits += d_miss - u_miss
+            stats.writebacks += u_wb
+            self.memory_accesses += u_miss
+        return misses
+
+    def code_latencies(self, code: int, n: int) -> List[int]:
+        """The per-access latencies, in program order, that a
+        :meth:`data_run` level *code* stands for in a block of *n*
+        accesses — what :meth:`data_latency` returned for each."""
+        l1 = self.l1d.hit_latency
+        l2 = l1 + self.l2.hit_latency
+        levels = (l1, l2, l2 + self.machine.memory_latency)
+        lats = [0] * n
+        for j in range(n - 1, -1, -1):
+            code, c = divmod(code, 3)
+            lats[j] = levels[c]
+        return lats
 
     def warm_data(self, addr: int, is_write: bool = False) -> None:
         """Touch the data side without caring about latency (warming mode)."""

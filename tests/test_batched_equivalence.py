@@ -16,8 +16,9 @@ checked here three ways:
   ``SamplingResult`` on three workloads either way.
 
 The functional-warming kernel (silent spans, pinned fetch, bulk branch
-runs) is additionally checked whole-program on every workload, and the
-detailed pipeline through its transition-memo clear path.
+runs) is additionally checked whole-program on every workload, as is
+the detailed pipeline (DETAIL and DETAIL_WARM); the latter also goes
+through its transition-memo clear path.
 """
 
 import random
@@ -223,6 +224,24 @@ class TestFuncWarmEveryWorkload:
                 r2 = batched.run(mode, n_ops)
                 assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
                 assert _machine_state(scalar) == _machine_state(batched)
+        assert batched.exhausted
+
+
+class TestDetailEveryWorkload:
+    @pytest.mark.parametrize("mode", (Mode.DETAIL, Mode.DETAIL_WARM))
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES + ADVERSARIAL_NAMES)
+    def test_detail_whole_program_identical(self, name, mode):
+        """The batched pipeline equals the scalar one over the whole
+        program on every workload, memory-bound and adversarial
+        included: every window's cycles and all machine state."""
+        program = _workload(name)
+        scalar = SimulationEngine(program, batched=False)
+        batched = SimulationEngine(program, batched=True)
+        while not scalar.exhausted:
+            r1 = scalar.run(mode, 50_000)
+            r2 = batched.run(mode, 50_000)
+            assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
+            assert _machine_state(scalar) == _machine_state(batched)
         assert batched.exhausted
 
 

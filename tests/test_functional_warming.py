@@ -103,20 +103,25 @@ def _arch_state(hierarchy, predictor):
 
 
 def _assert_runs_match_scalar(runs, machine=DEFAULT_MACHINE, predictor=GsharePredictor):
-    """Batched FUNC_WARM, scalar FUNC_WARM and batched DETAIL leave the
-    same architectural state after every run."""
-    arms = [(CacheHierarchy(machine), predictor(12)) for _ in range(3)]
+    """Batched FUNC_WARM, scalar FUNC_WARM, batched DETAIL and scalar
+    DETAIL leave the same architectural state after every run, and both
+    DETAIL arms the same cycle count."""
+    arms = [(CacheHierarchy(machine), predictor(12)) for _ in range(4)]
     scalar = FunctionalWarmer(*arms[0])
     batched = FunctionalWarmer(*arms[1])
     detail = InOrderPipeline(machine, *arms[2])
+    scalar_detail = InOrderPipeline(machine, *arms[3])
     for run in runs:
         for event in run.events():
             scalar.execute_event(event)
+            scalar_detail.execute_event(event)
         batched.execute_run(run)
         detail.execute_run(run)
         want = _arch_state(*arms[0])
         assert _arch_state(*arms[1]) == want
         assert _arch_state(*arms[2]) == want
+        assert _arch_state(*arms[3]) == want
+        assert detail.cycle == scalar_detail.cycle
     return arms[1][0]
 
 
@@ -246,6 +251,47 @@ class TestBatchedWarming:
         ]
         block = _block(pats)
         _assert_runs_match_scalar(_loop_runs(block, (500, 700, 2, 900)), machine)
+
+    @pytest.mark.parametrize(
+        "pats",
+        (
+            [_stream(0x400020, span=4096)],
+            [_stream(0x400020, span=4096), _stream(0x800020, span=4096, stride=16)],
+        ),
+    )
+    def test_unaligned_strided_base(self, pats):
+        """A strided pattern whose base is not line-aligned: its line
+        groups end at line boundaries of the absolute address, not of
+        the pattern offset — otherwise a probe vouches for the first
+        access of the next line without looking at it."""
+        h = _assert_runs_match_scalar(_loop_runs(_block(pats), (40, 40, 600, 600)))
+        assert h.l1d.stats.hit_rate > 0.8
+
+    def test_four_access_level_codes(self):
+        """Four accesses, the first two streaming from the L2 (from memory
+        on the first pass): level codes from 36 up, beyond the pipeline's
+        integer chain keys, under both branch outcomes from the same
+        timing contexts."""
+        import random
+
+        rng = random.Random(5)
+        pats = [
+            _stream(0x1000000, span=128 * 1024, stride=64),
+            _stream(0x2000000, span=128 * 1024, stride=64),
+            MemPattern(PatternKind.REUSE, base=0x400000, span=4096, stride=8),
+            MemPattern(
+                PatternKind.REUSE, base=0x410000, span=2048, stride=16,
+                is_write=True,
+            ),
+        ]
+        block = _block(pats, random_taken_prob=0.5)
+        runs = []
+        k = 0
+        for n in (2100, 300, 200, 600, 900):
+            takens = tuple(rng.random() < 0.5 for _ in range(n))
+            runs.append(BlockRun(block, n, k, False, takens))
+            k += n
+        _assert_runs_match_scalar(runs)
 
     def test_random_branch_takens(self):
         import random

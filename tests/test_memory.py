@@ -233,7 +233,7 @@ class TestHierarchy:
 
 
 class TestQuietAccessAndHotRefs:
-    """access_quiet / hot_refs — the batched pipeline's inline primitives."""
+    """access_quiet / hot_refs — the batched data walk's inline primitives."""
 
     @given(
         st.lists(
@@ -303,25 +303,28 @@ class TestSilentProbes:
     @pytest.mark.parametrize("salt", SALTS)
     @pytest.mark.parametrize("is_write", (False, True))
     def test_strided_span_matches_oracle(self, salt, is_write):
+        """Line-aligned and unaligned bases: line groups follow the
+        absolute address."""
         from repro.program import MemPattern, PatternKind
 
-        cache = small_cache(assoc=4, sets=8)
-        pat = MemPattern(
-            PatternKind.REUSE, base=0x8000, span=1024, stride=48,
-            is_write=is_write,
-        )
-        # Warm an arbitrary prefix of the footprint (real accesses so the
-        # MRU/dirty state is whatever access() leaves behind).
-        for k in range(11):
-            cache.access(pat.address(k) ^ salt, is_write)
-        for k_start in range(0, 40, 7):
-            got = cache.silent_span_strided(
-                pat.base, pat.stride, pat.span, k_start, 64, is_write, salt
+        for base in (0x8000, 0x8020):
+            cache = small_cache(assoc=4, sets=8)
+            pat = MemPattern(
+                PatternKind.REUSE, base=base, span=1024, stride=48,
+                is_write=is_write,
             )
-            want = self._brute_span(
-                cache, [(pat.address, is_write)], k_start, 64, salt
-            )
-            assert got == want
+            # Warm an arbitrary prefix of the footprint (real accesses so
+            # the MRU/dirty state is whatever access() leaves behind).
+            for k in range(11):
+                cache.access(pat.address(k) ^ salt, is_write)
+            for k_start in range(0, 40, 7):
+                got = cache.silent_span_strided(
+                    pat.base, pat.stride, pat.span, k_start, 64, is_write, salt
+                )
+                want = self._brute_span(
+                    cache, [(pat.address, is_write)], k_start, 64, salt
+                )
+                assert got == want
 
     @pytest.mark.parametrize("salt", SALTS)
     def test_hashed_span_matches_oracle(self, salt):
@@ -347,17 +350,20 @@ class TestSilentProbes:
         st.booleans(),                            # write 2
         st.integers(min_value=0, max_value=24),   # warm iterations
         st.integers(min_value=0, max_value=16),   # probe start
+        st.sampled_from((0, 8, 0x20)),            # base offset in the line
     )
     @settings(max_examples=60, deadline=None)
     def test_pair_span_matches_block_span_and_oracle(
-        self, s1, s2, w1, w2, warm, k_start
+        self, s1, s2, w1, w2, warm, k_start, skew
     ):
         """The unrolled two-access walk equals the general walk and the
-        oracle for any geometry, including set- and line-sharing pairs."""
+        oracle for any geometry, including set- and line-sharing pairs
+        and bases that are not line-aligned."""
         from repro.program import MemPattern, PatternKind
 
         p1 = MemPattern(
-            PatternKind.STREAM, base=0x4000, span=2048, stride=s1, is_write=w1
+            PatternKind.STREAM, base=0x4000 + skew, span=2048, stride=s1,
+            is_write=w1,
         )
         p2 = MemPattern(
             PatternKind.REUSE, base=0x4400, span=512, stride=s2, is_write=w2
@@ -381,3 +387,67 @@ class TestSilentProbes:
         )
         assert got_pair == got_block == want
         assert cache.snapshot() == snap  # probes are side-effect free
+
+    @pytest.mark.parametrize("assoc", (4, 2))
+    @pytest.mark.parametrize("shape", ("strided", "hashed", "three"))
+    def test_data_run_reports_scalar_levels(self, shape, assoc):
+        """CacheHierarchy.data_run lists exactly the executions a scalar
+        clone serves beyond the L1D, each with its accesses' levels as
+        base-3 digits in program order, and leaves the same state and
+        counters.  The 4-way L1D takes the inline transition, the 2-way
+        one ``access_quiet``."""
+        from dataclasses import replace
+
+        from repro.isa import Instruction, Op
+        from repro.program import MemPattern, PatternKind
+        from repro.program.block import BasicBlock
+
+        stream, reuse, rand = PatternKind.STREAM, PatternKind.REUSE, PatternKind.RANDOM
+        pats = {
+            "strided": [MemPattern(stream, base=0x400020, span=8192, stride=8)],
+            "hashed": [
+                MemPattern(rand, base=0x1000000, span=2048, seed=3),
+                MemPattern(rand, base=0x2000000, span=1 << 15, seed=5, is_write=True),
+            ],
+            "three": [
+                MemPattern(reuse, base=0x400000, span=2048, stride=8),
+                MemPattern(reuse, base=0x410000, span=1024, stride=16, is_write=True),
+                MemPattern(stream, base=0x800000, span=1 << 16, stride=24),
+            ],
+        }[shape]
+        insts = [
+            Instruction(Op.LOAD, dst=3, src1=1, mem_index=j)
+            for j in range(len(pats))
+        ]
+        block = BasicBlock(0, 0x2000, insts + [Instruction(Op.BRANCH, src1=1)], pats)
+        machine = replace(
+            DEFAULT_MACHINE,
+            l1d=CacheConfig(4 * 1024, assoc),
+            l2=CacheConfig(32 * 1024, 4, hit_latency=10),
+        )
+        batched = CacheHierarchy(machine)
+        scalar = CacheHierarchy(machine)
+        plan = batched.access_plan(block)
+        k = 0
+        codes = set()
+        for n in (300, 5, 1200, 700):
+            got = batched.data_run(plan, k, n)
+            want = []
+            for i in range(n):
+                code = 0
+                for pat in pats:
+                    level = scalar.access_data(pat.address(k + i), pat.is_write).level
+                    code = code * 3 + level - 1
+                if code:
+                    want.append((i, code))
+            assert got == want
+            assert batched.snapshot() == scalar.snapshot()
+            assert batched.stats_summary() == scalar.stats_summary()
+            assert batched.memory_accesses == scalar.memory_accesses
+            for c1, c2 in zip((batched.l1d, batched.l2), (scalar.l1d, scalar.l2)):
+                assert c1.stats.writebacks == c2.stats.writebacks
+            codes.update(code for _, code in got)
+            k += n
+        # Both deeper levels occur, so every digit value is exercised.
+        digits = {(c // 3**j) % 3 for c in codes for j in range(len(pats))}
+        assert {1, 2} <= digits
